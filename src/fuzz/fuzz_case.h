@@ -44,7 +44,8 @@ enum class OracleKind : std::uint8_t {
   kSerialVsBulk,       ///< execute_flow_job vs BulkRunner, byte identity
   kBulkVsServe,        ///< BulkRunner vs a live `mcrt serve` round-trip
   kMonoVsWindowed,     ///< retime(...) vs retime-windowed(...) flows
-  kCompactVsLegacy,    ///< FEAS/FlowMap/equivalence compact vs legacy engines
+  kCompactVsLegacy,    ///< FEAS and equivalence engine pairs, FlowMap
+                       ///< structure and behaviour
   kCslowVsReplicated,  ///< retime(cslow=C) vs C independent copies (stream
                        ///< interleave sim + ternary BMC + period dominance)
 };

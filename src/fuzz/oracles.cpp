@@ -15,7 +15,6 @@
 #include "cslow/stream_check.h"
 #include "mcretime/lower.h"
 #include "mcretime/mc_retime.h"
-#include "netlist/structural_hash.h"
 #include "pipeline/bulk_runner.h"
 #include "pipeline/flow_script.h"
 #include "pipeline/job_executor.h"
@@ -513,32 +512,47 @@ OracleVerdict compact_vs_legacy(const FuzzCase& c,
             std::string("engine threw: ") + e.what());
   }
 
-  // Leg 3: the legacy and compact FlowMap engines must produce the same
-  // mapping (structural hash, depth, LUT count) on the decomposed circuit.
+  // Leg 3: FlowMap on the decomposed circuit, checked against the mapped
+  // netlist itself: recomputed LUT depth equals the reported depth, every
+  // LUT has at most k inputs and lut_count matches, and the mapping is
+  // sim-equivalent to its subject graph.
   try {
     const Netlist binary = decompose_to_binary(c.netlist);
-    FlowMapOptions compact_opt;
-    compact_opt.cancel = options.cancel;
-    FlowMapOptions legacy_opt = compact_opt;
-    legacy_opt.legacy_engine = true;
-    const FlowMapResult compact = flowmap_map(binary, compact_opt);
-    const FlowMapResult legacy = flowmap_map(binary, legacy_opt);
-    const bool same =
-        structural_hash(compact.mapped) == structural_hash(legacy.mapped) &&
-        compact.depth == legacy.depth &&
-        compact.lut_count == legacy.lut_count;
-    add_leg(v, "flowmap-agreement", same,
-            same ? std::string{}
-                 : str_format("compact: %s depth=%u luts=%zu, "
-                              "legacy: %s depth=%u luts=%zu",
-                              structural_hash(compact.mapped).hex().c_str(),
-                              compact.depth, compact.lut_count,
-                              structural_hash(legacy.mapped).hex().c_str(),
-                              legacy.depth, legacy.lut_count));
+    FlowMapOptions map_opt;
+    map_opt.cancel = options.cancel;
+    const FlowMapResult mapped = flowmap_map(binary, map_opt);
+    const std::uint32_t depth = lut_depth(mapped.mapped);
+    std::size_t luts = 0;
+    std::size_t too_wide = 0;
+    for (const Node& node : mapped.mapped.nodes()) {
+      if (node.kind != NodeKind::kLut || node.fanins.empty()) continue;
+      ++luts;
+      if (node.fanins.size() > map_opt.k) ++too_wide;
+    }
+    EquivalenceOptions eq;
+    eq.cycles = 48;
+    eq.runs = 6;
+    eq.warmup = 8;
+    eq.seed = c.seed | 1;
+    eq.x_refinement_ok = true;  // same policy as the behaviour leg
+    const EquivalenceResult verdict =
+        check_sequential_equivalence(binary, mapped.mapped, eq);
+    std::string detail;
+    if (depth != mapped.depth) {
+      detail = str_format("reported depth %u, mapped netlist has %u",
+                          mapped.depth, depth);
+    } else if (too_wide != 0 || luts != mapped.lut_count) {
+      detail = str_format("%zu LUTs wider than k=%u; reported %zu LUTs, "
+                          "mapped netlist has %zu",
+                          too_wide, map_opt.k, mapped.lut_count, luts);
+    } else if (!verdict.equivalent) {
+      detail = verdict.counterexample;
+    }
+    add_leg(v, "flowmap-structure", detail.empty(), detail);
   } catch (const CancelledError&) {
     throw;
   } catch (const std::exception& e) {
-    add_leg(v, "flowmap-agreement", false,
+    add_leg(v, "flowmap-structure", false,
             std::string("engine threw: ") + e.what());
   }
   return v;

@@ -69,11 +69,9 @@ bool MapPass::configure(const PassArgs& args, std::string* error) {
   if (!args.expect_keys({"k", "d", "area-recovery"}, name(), error)) {
     return false;
   }
-  if (const auto k = args.int_value("k", error)) {
-    if (*k < 2) {
-      *error = "map: k must be at least 2";
-      return false;
-    }
+  // A LUT's function is a TruthTable, which holds at most kMaxInputs.
+  if (const auto k = args.int_value_in_range(
+          "k", 2, static_cast<std::int64_t>(TruthTable::kMaxInputs), error)) {
     options_.k = static_cast<std::uint32_t>(*k);
   } else if (args.contains("k")) {
     return false;

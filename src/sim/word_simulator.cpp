@@ -5,9 +5,10 @@
 namespace mcrt {
 namespace {
 
-/// tritword_eval on the flat arena: same dual-rail lift (a lane is 1 iff no
-/// consistent completion of its X pins reaches the off-set), reading the
-/// truth table as a raw positional word.
+/// Word-parallel ternary evaluation of one node: a lane is 1 iff no
+/// consistent completion of its X pins reaches the off-set (and 0 iff none
+/// reaches the on-set) - the dual-rail lift used by the ternary BMC,
+/// reading the truth table as a raw positional word.
 TritWord eval_flat(std::uint64_t bits, std::uint32_t arity,
                    const TritWord* pins) {
   std::uint64_t on_reachable = 0;

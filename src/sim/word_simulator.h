@@ -1,10 +1,10 @@
 // Bit-parallel ternary simulation on the data-oriented compact core.
 //
-// Semantically identical to sim/parallel_simulator.h — 64 independent
-// stimulus vectors per pass, dual-rail (ones, zeros) encoding, the same
-// EN/sync/async register-class semantics expressed as masked ite updates,
-// the same settle bound and X-degrade policy — but it iterates the
-// CompactNetlist's flat arrays instead of chasing Netlist pointers:
+// 64 independent stimulus vectors per pass in dual-rail (ones, zeros)
+// TritWords (sim/trit_word.h), with the scalar Simulator's EN/sync/async
+// register-class semantics expressed as masked ite updates and the same
+// settle bound and X-degrade policy. It iterates the CompactNetlist's flat
+// arrays rather than chasing Netlist pointers:
 //  - truth tables come from the flat uint64 arena (no TruthTable objects);
 //  - fanins are CSR spans read into a fixed 6-slot pin buffer (no per-node
 //    vector rebuilding);
@@ -13,16 +13,17 @@
 //    controls can feed back into their own cones; without them the first
 //    pass *is* the fixed point, so the verification iteration is skipped).
 //
-// The cross-engine differential (tests/sim/sim_differential_test.cpp)
-// asserts bit-identical words against ParallelSimulator and lane-exact
-// agreement with the scalar Simulator on every register class.
+// Its oracle is the scalar Simulator, a different formulation (one run at
+// a time, TruthTable::eval_ternary per node): the cross-engine
+// differential (tests/sim/sim_differential_test.cpp) asserts lane-exact
+// agreement with it on every register class.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
 #include "netlist/compact.h"
-#include "sim/parallel_simulator.h"
+#include "sim/trit_word.h"
 
 namespace mcrt {
 

@@ -7,9 +7,14 @@
 // optimal LUT depth) via one small max-flow per node, then realizes the
 // chosen k-feasible cuts as LUTs.
 //
-// Mapping boundaries: primary inputs and register outputs are sources;
-// primary outputs, register D pins and register control pins (EN, sync,
-// async, clk) are roots. Registers pass through unchanged.
+// Mapping boundaries: primary inputs, constants and register outputs are
+// sources; primary outputs, register D pins and register control pins (EN,
+// sync, async, clk) are roots. Registers pass through unchanged.
+//
+// The independent check (tests/tech/flowmap_differential_test.cpp) reaches
+// the same optimal depth by exhaustive k-feasible cut enumeration instead
+// of max-flow, and checks every mapping structurally (recomputed LUT
+// depth, fanin bound) and by simulation against its input.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +25,8 @@
 namespace mcrt {
 
 struct FlowMapOptions {
-  std::uint32_t k = 4;            ///< LUT input count (XC4000: 4)
+  /// LUT input count (XC4000: 4), in [2, TruthTable::kMaxInputs].
+  std::uint32_t k = 4;
   std::int64_t lut_delay = 10;    ///< delay units per LUT level
   /// Depth-preserving area recovery: while realizing LUTs, a net with
   /// depth slack whose fanins are all demanded anyway reuses its trivial
@@ -31,11 +37,6 @@ struct FlowMapOptions {
   /// Cooperative cancellation: polled once per labeled node (each label is
   /// one small max-flow); a stop request unwinds with CancelledError.
   const CancelToken* cancel = nullptr;
-  /// Use the seed's pointer-chasing mapper instead of the compact-core
-  /// engine. Both produce identical mapped netlists (the differential test
-  /// pins this); the legacy path exists as that oracle and as the bench
-  /// baseline, not for production use.
-  bool legacy_engine = false;
 };
 
 struct FlowMapResult {
@@ -47,7 +48,9 @@ struct FlowMapResult {
 /// Maps the combinational part of `input` (which must be k-bounded: every
 /// node has at most k fanins; run decompose_to_binary first for arbitrary
 /// netlists) into k-LUTs. Node delays in the result are set to
-/// options.lut_delay for LUTs and 0 elsewhere.
+/// options.lut_delay for LUTs and 0 elsewhere. Throws std::invalid_argument
+/// when options.k is outside [2, TruthTable::kMaxInputs] or the subject
+/// graph is not k-bounded.
 FlowMapResult flowmap_map(const Netlist& input, const FlowMapOptions& options);
 
 }  // namespace mcrt

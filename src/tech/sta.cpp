@@ -39,4 +39,22 @@ std::int64_t compute_period(const Netlist& netlist) {
   return analyze_timing(netlist).period;
 }
 
+std::uint32_t lut_depth(const Netlist& netlist) {
+  std::vector<std::uint32_t> level(netlist.net_count(), 0);
+  const auto order = netlist.combinational_order();
+  if (!order) throw std::invalid_argument("sta: combinational cycle");
+  std::uint32_t depth = 0;
+  for (const NodeId id : *order) {
+    const Node& node = netlist.node(id);
+    if (node.kind != NodeKind::kLut || node.fanins.empty()) continue;
+    std::uint32_t inner = 0;
+    for (const NetId f : node.fanins) {
+      inner = std::max(inner, level[f.index()]);
+    }
+    level[node.output.index()] = inner + 1;
+    depth = std::max(depth, inner + 1);
+  }
+  return depth;
+}
+
 }  // namespace mcrt

@@ -29,4 +29,8 @@ TimingReport analyze_timing(const Netlist& netlist);
 /// Convenience: just the period.
 std::int64_t compute_period(const Netlist& netlist);
 
+/// Unit-delay depth: the most non-constant LUTs on any combinational path,
+/// ignoring node delays. For a FlowMap result this is the mapping depth.
+std::uint32_t lut_depth(const Netlist& netlist);
+
 }  // namespace mcrt

@@ -41,9 +41,10 @@
 #include "retime/period_constraints.h"
 #include "retime/retime_graph.h"
 #include "sim/equivalence.h"
-#include "sim/parallel_simulator.h"
 #include "sim/simulator.h"
+#include "sim/trit_word.h"
 #include "sim/vcd.h"
+#include "sim/word_simulator.h"
 #include "tech/decompose.h"
 #include "tech/flowmap.h"
 #include "tech/sta.h"

@@ -257,6 +257,9 @@ TEST(FlowScriptCompileTest, MalformedIntOptionTable) {
       {"retime-windowed(window-size=24,cslow=banana)", "not an integer",
        "line 1, column 38", "banana"},
       {"retime(cslow-verify)", "needs cslow=C", "line 1, column 1", "retime"},
+      {"sweep; map(k=7)", "must be between 2 and 6", "line 1, column 14",
+       "7"},
+      {"map(k=1,d=10)", "must be between 2 and 6", "line 1, column 7", "1"},
   };
   for (const Row& row : rows) {
     PassManager manager;

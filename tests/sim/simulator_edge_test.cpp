@@ -1,11 +1,13 @@
 // Edge-case simulator behaviours: async feedback loops, X merging at
-// controls, settle() without clocking, explicit reset-input selection in
+// controls, settle() without clocking, per-lane register semantics and
+// state injection in the word simulator, explicit reset-input selection in
 // the equivalence oracle.
 #include <gtest/gtest.h>
 
 #include "../common/test_circuits.h"
 #include "sim/equivalence.h"
 #include "sim/simulator.h"
+#include "sim/word_simulator.h"
 
 namespace mcrt {
 namespace {
@@ -80,6 +82,47 @@ TEST(SimulatorEdgeTest, RegisterStateInjection) {
   EXPECT_EQ(sim.register_state(RegId{0}), Trit::kOne);
   sim.settle();
   EXPECT_EQ(sim.output_values()[0], Trit::kOne);
+}
+
+TEST(WordSimulatorTest, RegisterSemantics) {
+  // One enabled register, different stimulus per lane.
+  Netlist n;
+  const NetId clk = n.add_input("clk");
+  const NetId d = n.add_input("d");
+  const NetId en = n.add_input("en");
+  Register ff;
+  ff.d = d;
+  ff.clk = clk;
+  ff.en = en;
+  const NetId q = n.add_register(std::move(ff));
+  n.add_output("o", q);
+  WordSimulator sim(n);
+  TritWord d_word;
+  TritWord en_word;
+  d_word.set_lane(0, Trit::kOne);   // lane 0: loads 1
+  en_word.set_lane(0, Trit::kOne);
+  d_word.set_lane(1, Trit::kOne);   // lane 1: enable off, holds X
+  en_word.set_lane(1, Trit::kZero);
+  sim.set_input(d, d_word);
+  sim.set_input(en, en_word);
+  sim.step();
+  const auto out = sim.step();
+  EXPECT_EQ(out[0].lane(0), Trit::kOne);
+  EXPECT_EQ(out[0].lane(1), Trit::kUnknown);
+}
+
+TEST(WordSimulatorTest, StateInjection) {
+  const Netlist n = testing::chain_circuit(0, 1);
+  WordSimulator sim(n);
+  TritWord w;
+  w.set_lane(5, Trit::kOne);
+  w.set_lane(6, Trit::kZero);
+  sim.set_register_state(RegId{0}, w);
+  sim.settle();
+  const auto out = sim.output_values();
+  EXPECT_EQ(out[0].lane(5), Trit::kOne);
+  EXPECT_EQ(out[0].lane(6), Trit::kZero);
+  EXPECT_EQ(out[0].lane(7), Trit::kUnknown);
 }
 
 TEST(EquivalenceEdgeTest, ExplicitResetInputsRespected) {

@@ -169,5 +169,21 @@ TEST(FlowMapTest, RejectsUnboundedSubjectGraph) {
   EXPECT_THROW(flowmap_map(n, opt), std::invalid_argument);
 }
 
+TEST(FlowMapTest, RejectsKOutsideTruthTableRange) {
+  // A LUT's TruthTable holds at most kMaxInputs inputs; a larger k must
+  // fail loudly instead of storing truncated tables.
+  const Netlist n = decompose_to_binary(random_sequential_circuit(3));
+  FlowMapOptions opt;
+  for (const std::uint32_t k : {0u, 1u, TruthTable::kMaxInputs + 1, 8u}) {
+    opt.k = k;
+    EXPECT_THROW(flowmap_map(n, opt), std::invalid_argument) << "k=" << k;
+  }
+  opt.k = TruthTable::kMaxInputs;
+  const FlowMapResult mapped = flowmap_map(n, opt);
+  for (const Node& node : mapped.mapped.nodes()) {
+    EXPECT_LE(node.fanins.size(), TruthTable::kMaxInputs);
+  }
+}
+
 }  // namespace
 }  // namespace mcrt

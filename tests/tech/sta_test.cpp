@@ -74,5 +74,21 @@ TEST(StaTest, EmptyDelaysGiveZero) {
   EXPECT_EQ(compute_period(n), 0);
 }
 
+TEST(StaTest, LutDepthCountsLutsNotDelays) {
+  // Registers cut paths, constants are not levels, delays are ignored.
+  EXPECT_EQ(lut_depth(testing::chain_circuit(5, 1, /*gate_delay=*/3)), 5u);
+  Netlist n;
+  const NetId clk = n.add_input("clk");
+  const NetId one = n.add_const(true, "one");
+  NetId net = n.add_lut(TruthTable::and_n(2), {n.add_input("a"), one});
+  Register ff;
+  ff.d = net;
+  ff.clk = clk;
+  net = n.add_register(std::move(ff));
+  for (int i = 0; i < 3; ++i) net = n.add_lut(TruthTable::inverter(), {net});
+  n.add_output("o", net);
+  EXPECT_EQ(lut_depth(n), 3u);
+}
+
 }  // namespace
 }  // namespace mcrt
