@@ -38,14 +38,15 @@
 namespace mcrt {
 
 /// The five engine pairs the fuzzer cross-checks (ROADMAP: serial vs bulk
-/// vs serve execution, monolithic vs windowed retiming, compact vs legacy
-/// cores, C-slowed vs replicated stream semantics).
+/// vs serve execution, monolithic vs windowed retiming, the compact cores
+/// vs their independent oracles, C-slowed vs replicated stream semantics).
+/// kCompactVsLegacy keeps its name so committed reproducers still load.
 enum class OracleKind : std::uint8_t {
   kSerialVsBulk,       ///< execute_flow_job vs BulkRunner, byte identity
   kBulkVsServe,        ///< BulkRunner vs a live `mcrt serve` round-trip
   kMonoVsWindowed,     ///< retime(...) vs retime-windowed(...) flows
-  kCompactVsLegacy,    ///< FEAS and equivalence engine pairs, FlowMap
-                       ///< structure and behaviour
+  kCompactVsLegacy,    ///< FEAS vs constraint system, word vs scalar
+                       ///< equivalence, FlowMap structure and behaviour
   kCslowVsReplicated,  ///< retime(cslow=C) vs C independent copies (stream
                        ///< interleave sim + ternary BMC + period dominance)
 };

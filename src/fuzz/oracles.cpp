@@ -414,7 +414,7 @@ OracleVerdict mono_vs_windowed(const FuzzCase& c,
   return v;
 }
 
-// --- compact vs legacy cores ------------------------------------------------
+// --- compact cores vs independent oracles -----------------------------------
 
 /// Mirrors the retime pass's d=10 preprocessing so the FEAS leg solves the
 /// same graph the scripted flows do.
@@ -467,44 +467,50 @@ OracleVerdict compact_vs_legacy(const FuzzCase& c,
                                rs.compared_defined_outputs));
   }
 
-  // Leg 2: the CSR and legacy FEAS cores must find the same minimum
-  // period, and both labelings must be legal and meet it.
+  // Leg 2: the FEAS-driven minimum period P must be tight against the
+  // difference-constraint system: feasible at P, infeasible at P - 1. It
+  // is checked with the class bounds and without them (the latter is the
+  // pure-FEAS search), and the labels must be legal and meet P.
   try {
     const Netlist delayed = with_default_delays(c.netlist);
     const McPrepared prepared = prepare_mc_graph(delayed, McRetimeOptions{});
-    const RetimeGraph graph =
+    const RetimeGraph bounded =
         lower_to_retime_graph(prepared.graph, prepared.bounds);
-    const RetimeSolution csr =
-        minperiod_retime(graph, FeasImpl::kCsr, options.cancel);
-    const RetimeSolution legacy =
-        minperiod_retime(graph, FeasImpl::kLegacy, options.cancel);
-    add_leg(v, "feas-agreement",
-            csr.feasible == legacy.feasible && csr.period == legacy.period,
-            str_format("csr: feasible=%d period=%lld, "
-                       "legacy: feasible=%d period=%lld",
-                       csr.feasible ? 1 : 0,
-                       static_cast<long long>(csr.period),
-                       legacy.feasible ? 1 : 0,
-                       static_cast<long long>(legacy.period)));
-    if (v.legs.back().pass) v.legs.back().detail.clear();
-    if (csr.feasible && legacy.feasible) {
-      const std::string csr_legal = graph.check_legal(csr.r);
-      const std::string legacy_legal = graph.check_legal(legacy.r);
-      add_leg(v, "feas-legality",
-              csr_legal.empty() && legacy_legal.empty(),
-              csr_legal.empty() ? legacy_legal : csr_legal);
-      const std::int64_t csr_period = graph.period(csr.r);
-      const std::int64_t legacy_period = graph.period(legacy.r);
-      add_leg(v, "feas-period-met",
-              csr_period <= csr.period && legacy_period <= legacy.period,
-              str_format("csr labels give %lld (claimed %lld), "
-                         "legacy labels give %lld (claimed %lld)",
-                         static_cast<long long>(csr_period),
-                         static_cast<long long>(csr.period),
-                         static_cast<long long>(legacy_period),
-                         static_cast<long long>(legacy.period)));
-      if (v.legs.back().pass) v.legs.back().detail.clear();
+    const RetimeGraph unbounded = bounded.without_bounds();
+    std::string agreement;
+    std::string legality;
+    std::string period_met;
+    for (const RetimeGraph* graph : {&bounded, &unbounded}) {
+      const char* which = graph == &bounded ? "bounded" : "unbounded";
+      const RetimeSolution sol = minperiod_retime(*graph, options.cancel);
+      const auto constraint_feasible = [&](std::int64_t phi) {
+        return bounded_feasible(*graph, phi, nullptr, options.cancel)
+            .has_value();
+      };
+      const bool at_p = constraint_feasible(sol.period);
+      const bool below_p = constraint_feasible(sol.period - 1);
+      if (agreement.empty() && (!sol.feasible || !at_p || below_p)) {
+        agreement = str_format(
+            "%s: feasible=%d period=%lld, constraint system at P: %d, "
+            "at P-1: %d",
+            which, sol.feasible ? 1 : 0, static_cast<long long>(sol.period),
+            at_p ? 1 : 0, below_p ? 1 : 0);
+      }
+      if (!sol.feasible) continue;
+      const std::string illegal = graph->check_legal(sol.r);
+      if (legality.empty() && !illegal.empty()) {
+        legality = std::string(which) + ": " + illegal;
+      }
+      const std::int64_t achieved = graph->period(sol.r);
+      if (period_met.empty() && achieved > sol.period) {
+        period_met = str_format("%s: labels give %lld (claimed %lld)", which,
+                                static_cast<long long>(achieved),
+                                static_cast<long long>(sol.period));
+      }
     }
+    add_leg(v, "feas-agreement", agreement.empty(), agreement);
+    add_leg(v, "feas-legality", legality.empty(), legality);
+    add_leg(v, "feas-period-met", period_met.empty(), period_met);
   } catch (const CancelledError&) {
     throw;
   } catch (const std::exception& e) {

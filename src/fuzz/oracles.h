@@ -2,11 +2,12 @@
 //
 // Every oracle decomposes into named "legs" — individual checks such as
 // canonical-report byte identity, result-BLIF byte identity, input-vs-result
-// simulation equivalence, minperiod agreement of the FEAS cores, or the
-// structural and behavioural checks of a FlowMap result. A leg either
-// passes or carries a human-readable mismatch description; the verdict
-// aggregates them so a fuzz report (and a shrinker re-run) can say exactly
-// *which* promise between the engines broke, not just that something did.
+// simulation equivalence, FEAS min period against the difference-constraint
+// system, or the structural and behavioural checks of a FlowMap result. A
+// leg either passes or carries a human-readable mismatch description; the
+// verdict aggregates them so a fuzz report (and a shrinker re-run) can say
+// exactly *which* promise between the engines broke, not just that
+// something did.
 //
 // Sabotage: install_break() plants a deliberately broken pass into a
 // registry under a standard pass name, exploiting that

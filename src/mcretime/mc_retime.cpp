@@ -105,7 +105,7 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
       }
       if (!have_labels) {
         const RetimeSolution minperiod =
-            minperiod_retime(basic, FeasImpl::kCsr, options.cancel);
+            minperiod_retime(basic, options.cancel);
         if (!minperiod.feasible) {
           result.error = "minperiod retiming infeasible";
           return result;

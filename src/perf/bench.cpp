@@ -49,23 +49,6 @@ std::uint64_t fnv1a(std::string_view s) {
   return h;
 }
 
-// Rebuilds the graph without its class bounds so minperiod_retime takes the
-// pure-FEAS path: the benchmark isolates the feasibility/min-period loop,
-// which is what the CSR engine rewrote. Bounded residual solving is shared
-// Bellman-Ford code and would only dilute the comparison.
-RetimeGraph strip_bounds(const RetimeGraph& bounded) {
-  RetimeGraph graph;
-  for (std::size_t v = 1; v < bounded.vertex_count(); ++v) {
-    graph.add_vertex(bounded.delay(VertexId{static_cast<std::uint32_t>(v)}));
-  }
-  const Digraph& dg = bounded.digraph();
-  for (std::size_t e = 0; e < bounded.edge_count(); ++e) {
-    const EdgeId id{static_cast<std::uint32_t>(e)};
-    graph.add_edge(dg.from(id), dg.to(id), bounded.weight(id));
-  }
-  return graph;
-}
-
 double geomean(const std::vector<double>& values) {
   if (values.empty()) return 0;
   double log_sum = 0;
@@ -94,7 +77,8 @@ Json phases_json(const PhaseProfile& profile) {
   return object;
 }
 
-Json bench_retime_circuit(const CircuitProfile& profile, int reps) {
+Json bench_retime_circuit(const CircuitProfile& profile, int reps,
+                          int reference_reps) {
   PhaseProfile phases;
   Netlist circuit;
   {
@@ -110,19 +94,20 @@ Json bench_retime_circuit(const CircuitProfile& profile, int reps) {
       }
     }
   }
+  // Bounds are stripped so both sides answer the question FEAS answers:
+  // is phi feasible for the unbounded graph?
   RetimeGraph graph;
   std::vector<std::int64_t> candidates;
   {
     ScopedPhase phase(phases, "lower");
     const McGraph mc = build_mc_graph(circuit);
     const MaximalRetimingResult maximal = compute_mc_bounds(mc);
-    graph = strip_bounds(lower_to_retime_graph(mc, maximal.bounds));
+    graph = lower_to_retime_graph(mc, maximal.bounds).without_bounds();
     candidates = candidate_periods(graph);
   }
   // Probe schedule: a deterministic decimation of the exact-path-delay
   // candidates (feasible and infeasible alike) so the timed region is pure
-  // FEAS — binary-search bookkeeping and candidate generation are shared
-  // code identical for both engines and would only dilute the ratio.
+  // feasibility checking; candidate generation is shared by both sides.
   std::vector<std::int64_t> probes;
   const std::size_t max_probes = 48;
   const std::size_t stride = std::max<std::size_t>(
@@ -131,47 +116,49 @@ Json bench_retime_circuit(const CircuitProfile& profile, int reps) {
     probes.push_back(candidates[i]);
   }
 
-  const double legacy_seconds = time_min(reps, [&] {
-    for (const std::int64_t phi : probes) {
-      feas_check(graph, phi, FeasImpl::kLegacy);
+  // Reference: the difference-constraint formulation (circuit plus W/D
+  // period constraints, solved by SPFA), an independent way to decide the
+  // same probes. The two sides' repetitions interleave so a burst of host
+  // load hits both rather than skewing the ratio.
+  std::vector<bool> constraint_verdicts(probes.size());
+  std::vector<bool> feas_verdicts(probes.size());
+  double constraints_seconds = 1e300;
+  double csr_seconds = 1e300;
+  for (int rep = 0; rep < reps; ++rep) {
+    if (rep < reference_reps) {
+      Timer timer;
+      for (std::size_t i = 0; i < probes.size(); ++i) {
+        constraint_verdicts[i] = bounded_feasible(graph, probes[i]).has_value();
+      }
+      constraints_seconds = std::min(constraints_seconds, timer.seconds());
     }
-  });
-  const double csr_seconds = time_min(reps, [&] {
-    for (const std::int64_t phi : probes) {
-      feas_check(graph, phi, FeasImpl::kCsr);
+    Timer timer;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      feas_verdicts[i] = feas_check(graph, probes[i]).has_value();
     }
-  });
-  phases.add("legacy", legacy_seconds);
+    csr_seconds = std::min(csr_seconds, timer.seconds());
+  }
+  phases.add("constraints", constraints_seconds);
   phases.add("csr", csr_seconds);
 
-  // Label-for-label agreement on every probe *and* on the full min-period
-  // search: the two engines compute the same unique fixed point (see
-  // retime/feas.h).
-  bool identical = true;
-  for (const std::int64_t phi : probes) {
-    const auto legacy_r = feas_check(graph, phi, FeasImpl::kLegacy);
-    const auto csr_r = feas_check(graph, phi, FeasImpl::kCsr);
-    if (legacy_r.has_value() != csr_r.has_value() ||
-        (legacy_r.has_value() && *legacy_r != *csr_r)) {
-      identical = false;
-    }
-  }
-  const RetimeSolution legacy_solution =
-      minperiod_retime(graph, FeasImpl::kLegacy);
-  const RetimeSolution csr_solution = minperiod_retime(graph, FeasImpl::kCsr);
-  identical = identical && legacy_solution.feasible == csr_solution.feasible &&
-              legacy_solution.period == csr_solution.period &&
-              legacy_solution.r == csr_solution.r;
+  // Same verdict on every probe, and the FEAS-driven min period P is tight:
+  // the constraint system admits P and rejects P - 1.
+  const RetimeSolution solution = minperiod_retime(graph);
+  const bool identical =
+      feas_verdicts == constraint_verdicts && solution.feasible &&
+      bounded_feasible(graph, solution.period).has_value() &&
+      !bounded_feasible(graph, solution.period - 1).has_value();
 
   Json entry = Json::object();
   entry.set("circuit", profile.name);
   entry.set("vertices", graph.vertex_count());
   entry.set("edges", graph.edge_count());
   entry.set("probes", probes.size());
-  entry.set("period", legacy_solution.period);
-  entry.set("legacy_seconds", legacy_seconds);
+  entry.set("period", solution.period);
+  entry.set("constraints_seconds", constraints_seconds);
   entry.set("csr_seconds", csr_seconds);
-  entry.set("speedup", legacy_seconds / std::max(csr_seconds, 1e-12));
+  entry.set("speedup_vs_constraints",
+            constraints_seconds / std::max(csr_seconds, 1e-12));
   entry.set("identical", identical);
   entry.set("phases", phases_json(phases));
   return entry;
@@ -326,7 +313,7 @@ Json bench_window_case(const WindowBenchCase& bench_case,
   RetimeSolution mono;
   Timer mono_timer;
   try {
-    mono = minperiod_retime(global, FeasImpl::kCsr, &deadline);
+    mono = minperiod_retime(global, &deadline);
   } catch (const CancelledError&) {
     capped = true;
   }
@@ -676,12 +663,21 @@ Json assemble(const char* schema, const BenchOptions& options, int reps,
 }  // namespace
 
 Json run_retime_bench(const BenchOptions& options) {
-  const int reps = options.quick ? 3 : 5;
+  // Min-of-N over millisecond sweeps needs many repetitions to be stable.
+  // The constraint side is far slower (C4 alone takes seconds per sweep),
+  // so it runs fewer.
+  const int reps = options.quick ? 20 : 5;
+  const int reference_reps = options.quick ? 10 : 1;
   Json::Array entries;
   for (const CircuitProfile& profile : bench_suite(options)) {
-    entries.push_back(bench_retime_circuit(profile, reps));
+    entries.push_back(bench_retime_circuit(profile, reps, reference_reps));
   }
-  return assemble(kBenchRetimeSchema, options, reps, std::move(entries));
+  Json report =
+      assemble(kBenchRetimeSchema, options, reps, std::move(entries));
+  Json opts = report.at("options");
+  opts.set("reference_repetitions", reference_reps);
+  report.set("options", std::move(opts));
+  return report;
 }
 
 Json run_sim_bench(const BenchOptions& options) {

@@ -3,12 +3,12 @@
 // perf trajectory is tracked in-repo (BENCH_retime.json / BENCH_sim.json at
 // the repo root, regenerated by tools/update_bench_baseline.sh).
 //
-// Three reports:
-//  - retime: minperiod_retime on the lowered mc-graphs of the paper suite
-//    plus workload::random_suite, FeasImpl::kLegacy vs FeasImpl::kCsr.
-//    Bounds are stripped before timing so the number isolates the FEAS
-//    binary-search loop (the bounded residual solve is Bellman-Ford either
-//    way and identical between engines).
+// Four reports:
+//  - retime: FEAS feasibility probes on the lowered mc-graphs of the paper
+//    suite plus workload::random_suite, timed against the difference-
+//    constraint formulation (bounded_feasible: circuit plus W/D period
+//    constraints, SPFA) on the same bound-stripped graph and the same
+//    probe schedule. The reference side runs fewer repetitions.
 //  - sim: 64-pattern ternary simulation, scalar Simulator (one run per
 //    pattern) vs the bit-parallel WordSimulator on the compact core,
 //    identical stimulus.
@@ -38,9 +38,10 @@
 //    peripheral retiming could do better) — and excluded from the
 //    headline geomean, which measures the recoverable rest.
 //
-// Every timed pair is also *verified* per circuit (identical periods and
-// labels; lane-exact output words), so a bench run doubles as a
-// coarse-grained differential — `identical` is part of the schema and
+// Every timed pair is also *verified* per circuit (the same feasibility
+// verdict on every probe and a min period the constraint system admits at
+// P and rejects at P - 1; lane-exact output words), so a bench run doubles
+// as a coarse-grained differential — `identical` is part of the schema and
 // validate_bench_report() rejects documents where any entry diverged.
 //
 // Regression gating compares speedup *ratios*, never wall-clock, so the
@@ -57,7 +58,7 @@
 
 namespace mcrt {
 
-inline constexpr const char* kBenchRetimeSchema = "mcrt-bench-retime/1";
+inline constexpr const char* kBenchRetimeSchema = "mcrt-bench-retime/2";
 inline constexpr const char* kBenchSimSchema = "mcrt-bench-sim/2";
 inline constexpr const char* kBenchWindowSchema = "mcrt-bench-window/1";
 inline constexpr const char* kBenchCslowSchema = "mcrt-bench-cslow/1";

@@ -4,19 +4,15 @@
 // retiming graph in O(V * E): repeatedly compute combinational arrival
 // times under the current tentative retiming and increment r(v) for every
 // vertex whose arrival exceeds phi. After |V| - 1 rounds, phi is feasible
-// iff the retimed clock period is at most phi.
+// iff the retimed clock period is at most phi. The rounds iterate over the
+// RetimeGraph's flat CSR view with reused scratch arrays.
 //
-// Two interchangeable engines compute the same fixed point:
-//  - feas_check() iterates over the RetimeGraph's flat CSR view with
-//    reused scratch arrays — the production path (BENCH_retime.json tracks
-//    its speedup);
-//  - feas_check_legacy() walks the Digraph through std::function callbacks
-//    — kept compiled as the differential oracle (tests assert identical
-//    labels; the arrival fixed point is unique, so both engines agree
-//    label-for-label, not just on feasibility).
-//
-// FEAS cannot honor per-vertex retiming bounds; the bounded feasibility
-// check lives in minperiod.cpp (difference-constraint formulation).
+// FEAS cannot honor per-vertex retiming bounds. The difference-constraint
+// formulation in minperiod.h (bounded_feasible(): circuit, bound and W/D
+// period constraints solved by SPFA) can, and on a bound-free graph it is
+// FEAS's independent oracle: tests and `mcrt bench` check that both give
+// the same verdict on every probe, and the fuzzer that the FEAS-driven min
+// period P is constraint-feasible while P - 1 is not.
 #pragma once
 
 #include <cstdint>
@@ -27,21 +23,9 @@
 
 namespace mcrt {
 
-/// Which FEAS engine a caller (minperiod, bench) probes with.
-enum class FeasImpl { kCsr, kLegacy };
-
 /// Returns the retiming labels achieving period <= phi, or std::nullopt if
-/// phi is infeasible for the graph (ignoring bounds). CSR engine.
+/// phi is infeasible for the graph (ignoring bounds).
 std::optional<std::vector<std::int64_t>> feas_check(const RetimeGraph& graph,
                                                     std::int64_t phi);
-
-/// The seed's pointer-chasing implementation; identical results.
-std::optional<std::vector<std::int64_t>> feas_check_legacy(
-    const RetimeGraph& graph, std::int64_t phi);
-
-/// Engine-selecting dispatch.
-std::optional<std::vector<std::int64_t>> feas_check(const RetimeGraph& graph,
-                                                    std::int64_t phi,
-                                                    FeasImpl impl);
 
 }  // namespace mcrt

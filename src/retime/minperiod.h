@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "base/cancel.h"
-#include "retime/feas.h"
 #include "retime/retime_graph.h"
 
 namespace mcrt {
@@ -21,14 +20,20 @@ namespace mcrt {
 /// The returned labels are normalized to r(host) = 0 and legal w.r.t.
 /// bounds. `feasible` is false only if the graph is malformed (a single
 /// vertex slower than every period bound cannot happen with finite delays).
-/// `impl` selects the FEAS engine for the unbounded probes (the legacy
-/// engine exists for differential tests and the bench's speedup baseline).
 /// `cancel` (may be null) is polled per probe and inside constraint
 /// generation, so one oversized monolithic solve cannot stall a batch or a
 /// window deadline.
 RetimeSolution minperiod_retime(const RetimeGraph& graph,
-                                FeasImpl impl = FeasImpl::kCsr,
                                 const CancelToken* cancel = nullptr);
+
+/// Names the FEAS engine. There is one; this overload stays because
+/// perfbench/harness.cpp, kept unchanged so benchmark runs stay comparable
+/// across versions, calls minperiod_retime(g, FeasImpl::kCsr[, cancel]).
+enum class FeasImpl { kCsr };
+inline RetimeSolution minperiod_retime(const RetimeGraph& graph, FeasImpl,
+                                       const CancelToken* cancel = nullptr) {
+  return minperiod_retime(graph, cancel);
+}
 
 /// Feasibility check honoring bounds: is there a legal retiming with
 /// period <= phi? Returns the labels if so. An optional cache of the

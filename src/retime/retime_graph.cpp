@@ -75,6 +75,14 @@ void RetimeGraph::set_bounds(VertexId v, std::int64_t lower,
   if (lower > -kNoBound || upper < kNoBound) has_bounds_ = true;
 }
 
+RetimeGraph RetimeGraph::without_bounds() const {
+  RetimeGraph copy = *this;
+  std::fill(copy.lower_.begin(), copy.lower_.end(), -kNoBound);
+  std::fill(copy.upper_.begin(), copy.upper_.end(), kNoBound);
+  copy.has_bounds_ = false;
+  return copy;
+}
+
 std::int64_t RetimeGraph::retimed_weight(
     EdgeId e, const std::vector<std::int64_t>& r) const {
   return weight_[e.index()] + r[graph_.to(e).index()] -

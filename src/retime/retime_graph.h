@@ -75,6 +75,8 @@ class RetimeGraph {
     return upper_[v.index()];
   }
   [[nodiscard]] bool has_bounds() const noexcept { return has_bounds_; }
+  /// Copy with every class bound cleared: the unbounded problem FEAS solves.
+  [[nodiscard]] RetimeGraph without_bounds() const;
 
   /// w_r(e) for a retiming labeling.
   [[nodiscard]] std::int64_t retimed_weight(

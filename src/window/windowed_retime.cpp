@@ -315,8 +315,7 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
         g.set_bounds(vid, std::max(lo, g.lower_bound(vid)),
                      g.upper_bound(vid));
       }
-      const RetimeSolution sol =
-          minperiod_retime(g, FeasImpl::kCsr, options.base.cancel);
+      const RetimeSolution sol = minperiod_retime(g, options.base.cancel);
       if (!sol.feasible || !g.check_legal(sol.r).empty()) {
         result.error = "windowed retiming: global fallback infeasible";
         return result;

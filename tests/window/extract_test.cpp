@@ -59,7 +59,7 @@ void check_composition(std::uint64_t seed, bool use_en, bool use_async) {
         EXPECT_EQ(prob.graph.upper_bound(VertexId{v}), 0);
       }
     }
-    const RetimeSolution sol = minperiod_retime(prob.graph, FeasImpl::kCsr);
+    const RetimeSolution sol = minperiod_retime(prob.graph);
     ASSERT_TRUE(sol.feasible);
     ASSERT_TRUE(prob.graph.check_legal(sol.r).empty())
         << prob.graph.check_legal(sol.r);

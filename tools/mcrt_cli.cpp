@@ -82,13 +82,16 @@
 //                                           failure line is copy-pasteable.
 //   mcrt bench   [--quick] [--out-dir D] [--seed S]
 //                [--baseline D --max-regress F]
-//                                           compact-vs-legacy engine bench
-//                                           on the pinned workload suite;
-//                                           writes BENCH_retime.json,
-//                                           BENCH_sim.json and
-//                                           BENCH_window.json (windowed vs
-//                                           monolithic retiming;
-//                                           docs/INTERNALS.md describes the
+//                                           engines vs their reference
+//                                           formulations on the pinned
+//                                           workload suite; writes
+//                                           BENCH_retime.json (FEAS vs the
+//                                           constraint system),
+//                                           BENCH_sim.json (word vs scalar
+//                                           simulation), BENCH_window.json
+//                                           (windowed vs monolithic
+//                                           retiming) and BENCH_cslow.json
+//                                           (docs/INTERNALS.md describes the
 //                                           schemas); with --baseline, fails
 //                                           on a speedup regression beyond
 //                                           --max-regress
@@ -111,8 +114,11 @@
 // `retime` gives delay-less LUTs -d so the period objective is meaningful;
 // other commands preserve what the file had (0 if none).
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -120,6 +126,7 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "base/cancel.h"
@@ -159,6 +166,21 @@ using namespace mcrt;
 CancelToken g_interrupt;
 
 extern "C" void handle_sigint(int) { g_interrupt.request_cancel(); }
+
+/// Parses all of `text` as a T: no trailing characters, no sign on an
+/// unsigned type, no out-of-range or non-finite value.
+template <typename T>
+bool parse_number(const std::string& text, T* out) {
+  const char* last = text.data() + text.size();
+  T value{};
+  const auto [end, ec] = std::from_chars(text.data(), last, value);
+  if (text.empty() || ec != std::errc() || end != last) return false;
+  if constexpr (std::is_floating_point_v<T>) {
+    if (!std::isfinite(value)) return false;
+  }
+  *out = value;
+  return true;
+}
 
 int usage() {
   std::fprintf(stderr,
@@ -209,7 +231,9 @@ int usage() {
                "          written to <file> first (see docs/FUZZING.md)\n"
                "  bench:  mcrt bench [--quick] [--out-dir D] [--seed S]\n"
                "          [--baseline <dir> --max-regress <frac=0.20>]\n"
-               "          compact-vs-legacy benchmark; writes BENCH_*.json\n"
+               "          engine-vs-reference benchmark (FEAS vs constraint\n"
+               "          system, word vs scalar sim, windowed vs monolithic,\n"
+               "          C-slow); writes BENCH_*.json\n"
                "  serve:  mcrt serve (--socket <path> | --port <n>) [--jobs N]\n"
                "          [--cache-mb M] [--disk-cache-dir D "
                "--disk-cache-mb M\n"
@@ -1158,13 +1182,23 @@ int main(int argc, char** argv) {
     }
     return false;
   };
+  // Numeric values must parse as a whole; the first malformed one is
+  // reported after the scan (exit 2) instead of silently reading as 0.
+  std::string bad_number;
+  const auto number_flag = [&](const std::string& arg, const char* name,
+                               int* i, auto* out) {
+    std::string value;
+    if (!flag_value(arg, name, i, &value)) return false;
+    if (!parse_number(value, out) && bad_number.empty()) {
+      bad_number = std::string(name) + ": invalid numeric value '" + value +
+                   "'";
+    }
+    return true;
+  };
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     std::string value;
-    if (flag_value(arg, "--jobs", &i, &value)) {
-      bulk_flags.jobs = static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
+    if (number_flag(arg, "--jobs", &i, &bulk_flags.jobs)) continue;
     if (flag_value(arg, "--out-dir", &i, &value)) {
       bulk_flags.out_dir = value;
       bench_flags.out_dir = value;
@@ -1174,45 +1208,22 @@ int main(int argc, char** argv) {
       bulk_flags.report_path = value;
       continue;
     }
-    if (flag_value(arg, "--count", &i, &value)) {
-      corpus_count = static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--gates", &i, &value)) {
-      corpus_gates = static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--windows", &i, &value)) {
-      window_count = static_cast<std::size_t>(std::atoll(value.c_str()));
+    if (number_flag(arg, "--count", &i, &corpus_count)) continue;
+    if (number_flag(arg, "--gates", &i, &corpus_gates)) continue;
+    if (number_flag(arg, "--windows", &i, &window_count) ||
+        number_flag(arg, "--window-size", &i, &window_size) ||
+        number_flag(arg, "--window-jobs", &i, &window_jobs)) {
       windowed = true;
       continue;
     }
-    if (flag_value(arg, "--window-size", &i, &value)) {
-      window_size = static_cast<std::size_t>(std::atoll(value.c_str()));
-      windowed = true;
-      continue;
-    }
-    if (flag_value(arg, "--window-jobs", &i, &value)) {
-      window_jobs = static_cast<std::size_t>(std::atoll(value.c_str()));
-      windowed = true;
-      continue;
-    }
-    if (flag_value(arg, "--cslow", &i, &value)) {
-      cslow = static_cast<std::uint32_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--seed", &i, &value)) {
-      corpus_seed = std::strtoull(value.c_str(), nullptr, 10);
+    if (number_flag(arg, "--cslow", &i, &cslow)) continue;
+    if (number_flag(arg, "--seed", &i, &corpus_seed)) {
       bench_flags.seed = corpus_seed;
       fuzz_flags.seed_given = true;
       continue;
     }
-    if (flag_value(arg, "--budget-s", &i, &value)) {
-      fuzz_flags.budget_seconds = std::atof(value.c_str());
-      continue;
-    }
-    if (flag_value(arg, "--cases", &i, &value)) {
-      fuzz_flags.cases = static_cast<std::size_t>(std::atoll(value.c_str()));
+    if (number_flag(arg, "--budget-s", &i, &fuzz_flags.budget_seconds) ||
+        number_flag(arg, "--cases", &i, &fuzz_flags.cases)) {
       continue;
     }
     if (flag_value(arg, "--oracle", &i, &value)) {
@@ -1239,16 +1250,14 @@ int main(int argc, char** argv) {
       bench_flags.baseline_dir = value;
       continue;
     }
-    if (flag_value(arg, "--max-regress", &i, &value)) {
-      bench_flags.max_regress = std::atof(value.c_str());
+    if (number_flag(arg, "--max-regress", &i, &bench_flags.max_regress)) {
       continue;
     }
     if (arg == "--canonical") {
       bulk_flags.canonical = true;
       continue;
     }
-    if (flag_value(arg, "--timeout", &i, &value)) {
-      flow_flags.timeout_seconds = std::atof(value.c_str());
+    if (number_flag(arg, "--timeout", &i, &flow_flags.timeout_seconds)) {
       continue;
     }
     if (flag_value(arg, "--manifest", &i, &value)) {
@@ -1259,27 +1268,25 @@ int main(int argc, char** argv) {
       bulk_flags.resume = true;
       continue;
     }
-    if (flag_value(arg, "--retries", &i, &value)) {
-      bulk_flags.retries = static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
+    if (number_flag(arg, "--retries", &i, &bulk_flags.retries)) continue;
     if (flag_value(arg, "--faults", &i, &value)) {
       flow_flags.fault_spec = value;
       continue;
     }
-    if (flag_value(arg, "--budget-bdd", &i, &value)) {
-      flow_flags.budgets.bdd_node_cap =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
+    if (number_flag(arg, "--budget-bdd", &i,
+                    &flow_flags.budgets.bdd_node_cap) ||
+        number_flag(arg, "--budget-bmc", &i,
+                    &flow_flags.budgets.bmc_step_cap)) {
       continue;
     }
-    if (flag_value(arg, "--budget-bmc", &i, &value)) {
-      flow_flags.budgets.bmc_step_cap =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--budget-rss-mb", &i, &value)) {
-      flow_flags.budgets.max_rss_bytes =
-          static_cast<std::size_t>(std::atoll(value.c_str())) * 1024 * 1024;
+    if (number_flag(arg, "--budget-rss-mb", &i,
+                    &flow_flags.budgets.max_rss_bytes)) {
+      constexpr std::size_t kMiB = 1024 * 1024;
+      if (flow_flags.budgets.max_rss_bytes > SIZE_MAX / kMiB &&
+          bad_number.empty()) {
+        bad_number = "--budget-rss-mb: value out of range";
+      }
+      flow_flags.budgets.max_rss_bytes *= kMiB;
       continue;
     }
     if (arg == "--bmc-x-ok") {
@@ -1290,39 +1297,21 @@ int main(int argc, char** argv) {
       serve_flags.socket_path = value;
       continue;
     }
-    if (flag_value(arg, "--port", &i, &value)) {
-      serve_flags.port = std::atoi(value.c_str());
-      continue;
-    }
-    if (flag_value(arg, "--cache-mb", &i, &value)) {
-      serve_flags.cache_mb = static_cast<std::size_t>(std::atoll(value.c_str()));
+    if (number_flag(arg, "--port", &i, &serve_flags.port) ||
+        number_flag(arg, "--cache-mb", &i, &serve_flags.cache_mb)) {
       continue;
     }
     if (flag_value(arg, "--disk-cache-dir", &i, &value)) {
       serve_flags.disk_cache_dir = value;
       continue;
     }
-    if (flag_value(arg, "--disk-cache-mb", &i, &value)) {
-      serve_flags.disk_cache_mb =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--disk-cache-ttl-s", &i, &value)) {
-      serve_flags.disk_cache_ttl_s =
-          static_cast<std::uint64_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--max-inflight", &i, &value)) {
-      serve_flags.max_inflight =
-          static_cast<std::size_t>(std::atoll(value.c_str()));
-      continue;
-    }
-    if (flag_value(arg, "--retry-after-ms", &i, &value)) {
-      serve_flags.retry_after_ms = std::atoi(value.c_str());
-      continue;
-    }
-    if (flag_value(arg, "--retry-base-ms", &i, &value)) {
-      serve_flags.retry_base_ms = std::atoi(value.c_str());
+    if (number_flag(arg, "--disk-cache-mb", &i, &serve_flags.disk_cache_mb) ||
+        number_flag(arg, "--disk-cache-ttl-s", &i,
+                    &serve_flags.disk_cache_ttl_s) ||
+        number_flag(arg, "--max-inflight", &i, &serve_flags.max_inflight) ||
+        number_flag(arg, "--retry-after-ms", &i,
+                    &serve_flags.retry_after_ms) ||
+        number_flag(arg, "--retry-base-ms", &i, &serve_flags.retry_base_ms)) {
       continue;
     }
     if (flag_value(arg, "--tenant", &i, &value)) {
@@ -1349,20 +1338,18 @@ int main(int argc, char** argv) {
       serve_flags.drain = true;
       continue;
     }
-    if (arg == "-k" && i + 1 < argc) {
-      lut_k = static_cast<std::uint32_t>(std::atoi(argv[++i]));
-    } else if (arg == "-d" && i + 1 < argc) {
-      lut_delay = std::atoll(argv[++i]);
-    } else if (arg == "--minperiod") {
+    if (number_flag(arg, "-k", &i, &lut_k) ||
+        number_flag(arg, "-d", &i, &lut_delay) ||
+        number_flag(arg, "--target", &i, &target_period) ||
+        number_flag(arg, "--bmc", &i, &bmc_depth)) {
+      continue;
+    }
+    if (arg == "--minperiod") {
       minperiod = true;
-    } else if (arg == "--target" && i + 1 < argc) {
-      target_period = std::atoll(argv[++i]);
     } else if (arg == "--no-sharing") {
       no_sharing = true;
     } else if (arg == "--formal") {
       formal = true;
-    } else if (arg == "--bmc" && i + 1 < argc) {
-      bmc_depth = static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (arg == "--profile") {
       flow_flags.profile = true;
     } else if (arg == "--verify") {
@@ -1375,6 +1362,10 @@ int main(int argc, char** argv) {
     } else {
       files.push_back(arg);
     }
+  }
+  if (!bad_number.empty()) {
+    diag.error("mcrt", bad_number);
+    return 2;
   }
   const bool server_command = command == "serve" || command == "client";
   if (files.empty() && !server_command && command != "bench" &&
