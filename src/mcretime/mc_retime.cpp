@@ -1,7 +1,6 @@
 #include "mcretime/mc_retime.h"
 
 #include <algorithm>
-#include <map>
 
 #include "mcretime/lower.h"
 #include "mcretime/maximal_retiming.h"
@@ -52,8 +51,8 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
   }
 
   // Bound overrides accumulated from justification failures.
-  std::map<std::uint32_t, std::int64_t> tightened_upper;
-  std::map<std::uint32_t, std::int64_t> tightened_lower;
+  BoundOverlay tightened_upper;
+  BoundOverlay tightened_lower;
 
   McGraph relocated;
   std::vector<std::int64_t> labels;
@@ -141,27 +140,9 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
         break;
       }
       // Tighten the bound at the offending vertex and recompute.
-      const std::uint32_t v = relocation.failed_vertex.value();
-      if (relocation.failed_backward) {
-        const std::int64_t bound = relocation.achieved;
-        auto it = tightened_upper.find(v);
-        if (it != tightened_upper.end() && it->second <= bound) {
-          // No progress possible.
-          result.error = "justification failure could not be bounded away: " +
-                         relocation.failure_reason;
-          return result;
-        }
-        tightened_upper[v] = bound;
-      } else {
-        const std::int64_t bound = relocation.achieved;
-        auto it = tightened_lower.find(v);
-        if (it != tightened_lower.end() && it->second >= bound) {
-          result.error = "scheduling failure could not be bounded away: " +
-                         relocation.failure_reason;
-          return result;
-        }
-        tightened_lower[v] = bound;
-      }
+      result.error =
+          tighten_failed_bound(relocation, tightened_upper, tightened_lower);
+      if (!result.error.empty()) return result;
     }
   }
   if (!implemented) {
@@ -169,15 +150,7 @@ McRetimeResult mc_retime(const Netlist& input, const McRetimeOptions& options) {
     return result;
   }
 
-  // Moved layers = sum |r(v)| over movable vertices (gates only; separator
-  // hops are bookkeeping, not circuit moves).
-  for (std::size_t v = 1; v < graph.vertex_count(); ++v) {
-    if (graph.kind(VertexId{static_cast<std::uint32_t>(v)}) ==
-        McVertexKind::kGate) {
-      stats.moved_layers +=
-          static_cast<std::size_t>(std::abs(labels[v]));
-    }
-  }
+  stats.moved_layers = moved_layer_count(graph, labels);
 
   {
     ScopedPhase phase(stats.profile, "implement");

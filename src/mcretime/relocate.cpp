@@ -1,6 +1,7 @@
 #include "mcretime/relocate.h"
 
 #include <algorithm>
+#include <cstdlib>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -420,6 +421,40 @@ RelocateResult relocate_registers(McGraph& graph, const Netlist& netlist,
                                   std::size_t global_var_budget) {
   Relocator relocator(graph, netlist, r, global_var_budget);
   return relocator.run();
+}
+
+std::string tighten_failed_bound(const RelocateResult& relocation,
+                                 BoundOverlay& upper, BoundOverlay& lower) {
+  const std::uint32_t v = relocation.failed_vertex.value();
+  const std::int64_t bound = relocation.achieved;
+  if (relocation.failed_backward) {
+    const auto it = upper.find(v);
+    if (it != upper.end() && it->second <= bound) {
+      return "justification failure could not be bounded away: " +
+             relocation.failure_reason;
+    }
+    upper[v] = bound;
+  } else {
+    const auto it = lower.find(v);
+    if (it != lower.end() && it->second >= bound) {
+      return "scheduling failure could not be bounded away: " +
+             relocation.failure_reason;
+    }
+    lower[v] = bound;
+  }
+  return "";
+}
+
+std::size_t moved_layer_count(const McGraph& graph,
+                              const std::vector<std::int64_t>& r) {
+  std::size_t moved = 0;
+  for (std::size_t v = 1; v < graph.vertex_count(); ++v) {
+    if (graph.kind(VertexId{static_cast<std::uint32_t>(v)}) ==
+        McVertexKind::kGate) {
+      moved += static_cast<std::size_t>(std::abs(r[v]));
+    }
+  }
+  return moved;
 }
 
 }  // namespace mcrt

@@ -19,6 +19,8 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "mcretime/mcgraph.h"
@@ -53,5 +55,22 @@ struct RelocateResult {
 RelocateResult relocate_registers(McGraph& graph, const Netlist& netlist,
                                   const std::vector<std::int64_t>& r,
                                   std::size_t global_var_budget = 96);
+
+/// Bounds a retry loop accumulates from relocation failures: vertex id ->
+/// tightened upper (or lower) bound on r(v).
+using BoundOverlay = std::map<std::uint32_t, std::int64_t>;
+
+/// Turns a failed relocation into a tightened bound at the offending vertex:
+/// r(v) <= achieved after a failed backward justification, r(v) >= achieved
+/// after a failed forward schedule. Returns "" on progress; returns the
+/// error to report, and changes nothing, when the vertex already carries an
+/// equal or tighter bound.
+std::string tighten_failed_bound(const RelocateResult& relocation,
+                                 BoundOverlay& upper, BoundOverlay& lower);
+
+/// Table 2's moved #Step: the sum of |r(v)| over gate vertices (separator
+/// hops are bookkeeping, not circuit moves).
+std::size_t moved_layer_count(const McGraph& graph,
+                              const std::vector<std::int64_t>& r);
 
 }  // namespace mcrt

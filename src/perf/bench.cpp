@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <random>
 #include <string_view>
 #include <vector>
 
 #include "base/cancel.h"
+#include "base/strings.h"
 #include "base/timer.h"
 #include "cslow/cslow.h"
 #include "cslow/stream_check.h"
@@ -660,6 +660,43 @@ Json assemble(const char* schema, const BenchOptions& options, int reps,
   return report;
 }
 
+// The paper report has no speedup column: each Table 2 row must carry its
+// delay and #FF and must have passed its equivalence check.
+std::string validate_paper_entries(const Json::Array& entries) {
+  std::size_t rows = 0;
+  for (const Json& entry : entries) {
+    const std::string& circuit = entry.at("circuit").as_string();
+    if (circuit.empty()) return "entry without a circuit name";
+    const Json* table2 = entry.find("table2");
+    if (table2 == nullptr) continue;
+    ++rows;
+    for (const char* key : {"delay", "ff"}) {
+      if (!table2->at(key).is_number()) {
+        return circuit + ": table2." + key + " missing";
+      }
+    }
+    if (!table2->at("eq").as_bool()) {
+      return circuit + ": retimed circuit not equivalent (eq=false)";
+    }
+  }
+  return rows == 0 ? "no Table 2 rows" : "";
+}
+
+// Gates one column: a higher-is-better value may not fall below
+// base * (1 - slack), a lower-is-better one may not rise above
+// base * (1 + slack).
+void check_column(const std::string& label, const std::string& key,
+                  double cur, double base, bool higher_is_better,
+                  double slack, std::vector<std::string>& regressions) {
+  const double bound =
+      higher_is_better ? base * (1.0 - slack) : base * (1.0 + slack);
+  if (higher_is_better ? cur >= bound : cur <= bound) return;
+  regressions.push_back(str_format("%s: %s regressed %.6g -> %.6g (%s %.6g)",
+                                   label.c_str(), key.c_str(), base, cur,
+                                   higher_is_better ? "floor" : "ceiling",
+                                   bound));
+}
+
 }  // namespace
 
 Json run_retime_bench(const BenchOptions& options) {
@@ -743,6 +780,7 @@ std::string validate_bench_report(const Json& report,
   }
   const Json::Array& entries = report.at("entries").as_array();
   if (entries.empty()) return "no entries";
+  if (schema == kBenchPaperSchema) return validate_paper_entries(entries);
   for (const Json& entry : entries) {
     const std::string& circuit = entry.at("circuit").as_string();
     if (circuit.empty()) return "entry without a circuit name";
@@ -770,20 +808,20 @@ std::string validate_bench_report(const Json& report,
 
 std::vector<std::string> bench_regressions(const Json& current,
                                            const Json& baseline,
-                                           double max_regress) {
+                                           double slack) {
   std::vector<std::string> regressions;
-  if (current.at("schema").as_string() != baseline.at("schema").as_string()) {
+  const std::string& schema = baseline.at("schema").as_string();
+  if (current.at("schema").as_string() != schema) {
     regressions.push_back("schema mismatch: current '" +
                           current.at("schema").as_string() + "' vs baseline '" +
-                          baseline.at("schema").as_string() + "'");
+                          schema + "'");
     return regressions;
   }
-  const double floor_ratio = 1.0 - max_regress;
-  const auto check = [&](const std::string& label, const Json& cur_obj,
-                         const Json& base_obj) {
+  // Per-entry columns are "speedup[_vs_*]"; the summary's is
+  // "geomean_speedup" — gate anything carrying a speedup ratio.
+  const auto check_speedups = [&](const std::string& label,
+                                  const Json& cur_obj, const Json& base_obj) {
     for (const auto& [key, base_value] : base_obj.as_object()) {
-      // Per-entry columns are "speedup[_vs_*]"; the summary's is
-      // "geomean_speedup" — gate anything carrying a speedup ratio.
       if (key.find("speedup") == std::string::npos || !base_value.is_number())
         continue;
       const Json* cur_value = cur_obj.find(key);
@@ -792,18 +830,30 @@ std::vector<std::string> bench_regressions(const Json& current,
                               " missing from current report");
         continue;
       }
-      const double base = base_value.as_number();
-      const double cur = cur_value->as_number();
-      if (cur < base * floor_ratio) {
-        char buf[160];
-        std::snprintf(buf, sizeof(buf),
-                      "%s: %s regressed %.2fx -> %.2fx (floor %.2fx)",
-                      label.c_str(), key.c_str(), base, cur,
-                      base * floor_ratio);
-        regressions.emplace_back(buf);
-      }
+      check_column(label, key, cur_value->as_number(), base_value.as_number(),
+                   /*higher_is_better=*/true, slack, regressions);
     }
   };
+  // The paper report's quality columns: Table 2 delay and #FF, lower is
+  // better (validation already rejects a report with a false eq).
+  const auto check_paper = [&](const std::string& label, const Json& cur_obj,
+                               const Json& base_obj) {
+    const Json* base_row = base_obj.find("table2");
+    if (base_row == nullptr) return;
+    const Json& cur_row = cur_obj.at("table2");
+    for (const char* key : {"delay", "ff"}) {
+      const Json& cur_value = cur_row.at(key);
+      if (!cur_value.is_number()) {
+        regressions.push_back(label + ": table2." + key +
+                              " missing from current report");
+        continue;
+      }
+      check_column(label, std::string("table2.") + key, cur_value.as_number(),
+                   base_row->at(key).as_number(),
+                   /*higher_is_better=*/false, slack, regressions);
+    }
+  };
+  const bool paper = schema == kBenchPaperSchema;
   for (const Json& base_entry : baseline.at("entries").as_array()) {
     const std::string& circuit = base_entry.at("circuit").as_string();
     const Json* cur_entry = nullptr;
@@ -817,10 +867,20 @@ std::vector<std::string> bench_regressions(const Json& current,
       regressions.push_back(circuit + ": missing from current report");
       continue;
     }
-    check(circuit, *cur_entry, base_entry);
+    if (paper) {
+      check_paper(circuit, *cur_entry, base_entry);
+    } else {
+      check_speedups(circuit, *cur_entry, base_entry);
+    }
   }
-  check("summary", current.at("summary"), baseline.at("summary"));
+  check_speedups("summary", current.at("summary"), baseline.at("summary"));
   return regressions;
+}
+
+double bench_gate_slack(const std::string& schema, double max_regress) {
+  return schema == kBenchCslowSchema || schema == kBenchPaperSchema
+             ? 0.0
+             : max_regress;
 }
 
 std::string write_bench_report(const Json& report) {

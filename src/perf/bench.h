@@ -3,7 +3,7 @@
 // perf trajectory is tracked in-repo (BENCH_retime.json / BENCH_sim.json at
 // the repo root, regenerated by tools/update_bench_baseline.sh).
 //
-// Four reports:
+// Five reports:
 //  - retime: FEAS feasibility probes on the lowered mc-graphs of the paper
 //    suite plus workload::random_suite, timed against the difference-
 //    constraint formulation (bounded_feasible: circuit plus W/D period
@@ -37,6 +37,10 @@
 //    interface_bound (the relaxation ties: only interface-crossing
 //    peripheral retiming could do better) — and excluded from the
 //    headline geomean, which measures the recoverable rest.
+//  - paper: the paper's Tables 1-3, Figs. 1/4/5, the area/period sweep and
+//    the class-count ablation computed once over the C1-C10 suite
+//    (BENCH_paper.json, paper_bench.cpp). Delays and register counts are
+//    solver outputs; there is no speedup column.
 //
 // Every timed pair is also *verified* per circuit (the same feasibility
 // verdict on every probe and a min period the constraint system admits at
@@ -44,10 +48,11 @@
 // as a coarse-grained differential — `identical` is part of the schema and
 // validate_bench_report() rejects documents where any entry diverged.
 //
-// Regression gating compares speedup *ratios*, never wall-clock, so the
-// committed baselines are machine-independent: CI fails only when the
-// compact engines lose ground relative to their reference engines on the
-// same host.
+// Regression gating compares ratios and solver outputs, never wall-clock,
+// so the committed baselines are machine-independent. Wall-clock speedup
+// ratios (retime, sim, window, serve) get a slack; the deterministic
+// documents (cslow's period ratios, paper's Table 2 delay and #FF) are
+// gated with none.
 #pragma once
 
 #include <cstdint>
@@ -62,6 +67,7 @@ inline constexpr const char* kBenchRetimeSchema = "mcrt-bench-retime/2";
 inline constexpr const char* kBenchSimSchema = "mcrt-bench-sim/2";
 inline constexpr const char* kBenchWindowSchema = "mcrt-bench-window/1";
 inline constexpr const char* kBenchCslowSchema = "mcrt-bench-cslow/1";
+inline constexpr const char* kBenchPaperSchema = "mcrt-bench-paper/1";
 
 struct BenchOptions {
   /// Trimmed circuit list and fewer repetitions; the CI smoke setting.
@@ -86,19 +92,30 @@ Json run_window_bench(const BenchOptions& options);
 /// headline aggregate-throughput multiplier at C=2 (contract: >= 1.5).
 Json run_cslow_bench(const BenchOptions& options);
 
+/// Runs the paper report; returns a kBenchPaperSchema document. Quick mode
+/// keeps C1-C3, Fig. 1 and the class-count ablation.
+Json run_paper_bench(const BenchOptions& options);
+
 /// Structural check of a bench document against `schema` (one of the
 /// constants above): entries present, speedup columns numeric, every entry
-/// verified identical. Returns "" when valid, else a description.
+/// verified identical; for the paper report, every Table 2 row carries a
+/// delay and #FF and passed its equivalence check (eq). Returns "" when
+/// valid, else a description.
 std::string validate_bench_report(const Json& report,
                                   const std::string& schema);
 
-/// Compares the speedup columns of `current` against `baseline`: any
-/// per-circuit speedup below baseline * (1 - max_regress), a worse geomean,
-/// or a circuit missing from `current` is a regression. Returns
-/// human-readable descriptions; empty = no regression.
+/// Compares `current` against `baseline`: a per-circuit speedup below
+/// baseline * (1 - slack), a worse geomean, a paper Table 2 delay or #FF
+/// above baseline * (1 + slack), or a circuit missing from `current` is a
+/// regression. Returns human-readable descriptions; empty = no regression.
 std::vector<std::string> bench_regressions(const Json& current,
                                            const Json& baseline,
-                                           double max_regress);
+                                           double slack);
+
+/// The slack bench_regressions gets for a `schema` document: `max_regress`
+/// for wall-clock speedup ratios, 0 for the deterministic documents (cslow,
+/// paper), whose solver outputs must reproduce exactly.
+double bench_gate_slack(const std::string& schema, double max_regress);
 
 /// Multi-line serialization (one entry per line) so committed bench files
 /// diff cleanly; Json::parse round-trips it.

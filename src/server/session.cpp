@@ -220,13 +220,16 @@ void Session::unregister_request(const std::string& id) {
   active_.erase(id);
 }
 
+void Session::AdmissionSlot::release() {
+  if (held_) server_.admission().release(tenant_);
+  held_ = false;
+}
+
 void Session::run_job(JobRequest request, std::shared_ptr<CancelToken> token) {
-  // The admission slot claimed in handle_frame is held for the whole job.
-  struct AdmissionSlot {
-    RetimingServer& server;
-    const std::string& tenant;
-    ~AdmissionSlot() { server.admission().release(tenant); }
-  } slot{server_, request.tenant};
+  // The admission slot claimed in handle_frame is held until finish_job
+  // releases it, just before the terminal frame. The guard covers an
+  // exception escaping before that.
+  AdmissionSlot slot(server_, request.tenant);
 
   const std::string name = job_name_for(request);
   BulkJobResult result;
@@ -260,7 +263,7 @@ void Session::run_job(JobRequest request, std::shared_ptr<CancelToken> token) {
     result.error = "cannot load input";
     result.status = JobStatus::kFailed;
     result.diagnostics = load_diag.diagnostics();
-    finish_job(request, result, /*cached=*/false, nullptr);
+    finish_job(request, result, /*cached=*/false, nullptr, slot);
     unregister_request(request.id);
     return;
   }
@@ -283,7 +286,7 @@ void Session::run_job(JobRequest request, std::shared_ptr<CancelToken> token) {
   CacheKey key{structural_hash(*input),
                flow_options_hash(request.script, manager, budgets)};
   if (auto cached = server_.cache_lookup(key, token.get())) {
-    serve_cached(request, std::move(*cached));
+    serve_cached(request, std::move(*cached), slot);
     unregister_request(request.id);
     return;
   }
@@ -304,7 +307,7 @@ void Session::run_job(JobRequest request, std::shared_ptr<CancelToken> token) {
       if (auto cached = server_.cache_lookup(key, token.get(),
                                              /*count_miss=*/false)) {
         server_.finish_lead(key);
-        serve_cached(request, std::move(*cached));
+        serve_cached(request, std::move(*cached), slot);
         unregister_request(request.id);
         return;
       }
@@ -323,7 +326,7 @@ void Session::run_job(JobRequest request, std::shared_ptr<CancelToken> token) {
     }
     if (auto cached = server_.cache_lookup(key, token.get(),
                                            /*count_miss=*/false)) {
-      serve_cached(request, std::move(*cached));
+      serve_cached(request, std::move(*cached), slot);
       unregister_request(request.id);
       return;
     }
@@ -386,11 +389,12 @@ void Session::run_job(JobRequest request, std::shared_ptr<CancelToken> token) {
   // cache and must observe this result (or, on failure, race to lead).
   server_.finish_lead(key);
   finish_job(request, result, /*cached=*/false,
-             blif_text ? &*blif_text : nullptr);
+             blif_text ? &*blif_text : nullptr, slot);
   unregister_request(request.id);
 }
 
-void Session::serve_cached(const JobRequest& request, CachedResult cached) {
+void Session::serve_cached(const JobRequest& request, CachedResult cached,
+                           AdmissionSlot& slot) {
   // Re-stamp the cached record with this request's identity: the payload
   // (stats, passes, diagnostics, BLIF bytes) is identical by construction,
   // but name and paths belong to the requester.
@@ -408,16 +412,16 @@ void Session::serve_cached(const JobRequest& request, CachedResult cached) {
           Diagnostic{DiagSeverity::kError, request.output, error});
       // A failed write is this request's failure, not the cache's: the
       // entry itself stays valid for the next hit.
-      finish_job(request, cached.job, /*cached=*/true, nullptr);
+      finish_job(request, cached.job, /*cached=*/true, nullptr, slot);
       return;
     }
   }
-  finish_job(request, cached.job, /*cached=*/true, &cached.blif);
+  finish_job(request, cached.job, /*cached=*/true, &cached.blif, slot);
 }
 
 void Session::finish_job(const JobRequest& request,
                          const BulkJobResult& result, bool cached,
-                         const std::string* blif) {
+                         const std::string* blif, AdmissionSlot& slot) {
   for (const Diagnostic& diag : result.diagnostics) {
     if (!send_frame(make_diagnostic_frame(request.id, diag))) break;
   }
@@ -427,6 +431,9 @@ void Session::finish_job(const JobRequest& request,
   // Count before the terminal frame goes out: a client that has seen its
   // result must never read stats that don't include it yet.
   server_.note_job_finished(result.status, cached);
+  // Same rule for the admission slot: a client that has seen its result
+  // must never find the job still in flight (drain-ack, health).
+  slot.release();
   (void)send_frame(make_result_frame(
       request.id, result, cached, job_json,
       request.options.return_blif ? blif : nullptr));

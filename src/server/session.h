@@ -60,17 +60,36 @@ class Session {
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
  private:
+  /// A job's admission slot: released once, by finish_job just before the
+  /// terminal frame, or on destruction if the job unwinds before that.
+  class AdmissionSlot {
+   public:
+    AdmissionSlot(RetimingServer& server, const std::string& tenant)
+        : server_(server), tenant_(tenant) {}
+    ~AdmissionSlot() { release(); }
+    AdmissionSlot(const AdmissionSlot&) = delete;
+    AdmissionSlot& operator=(const AdmissionSlot&) = delete;
+    void release();
+
+   private:
+    RetimingServer& server_;
+    const std::string& tenant_;
+    bool held_ = true;
+  };
+
   void reader_loop();
   void handle_frame(const RequestFrame& frame);
   /// Runs one job request on the current (pool) thread, start to frame.
   void run_job(JobRequest request, std::shared_ptr<CancelToken> token);
   /// Serves `request` from `cached`, re-stamping the job identity and
   /// honoring a server-side output write.
-  void serve_cached(const JobRequest& request, CachedResult cached);
-  /// Streams a finished job's diagnostics and result frame and updates the
-  /// server counters.
+  void serve_cached(const JobRequest& request, CachedResult cached,
+                    AdmissionSlot& slot);
+  /// Streams a finished job's diagnostics and result frame, updates the
+  /// server counters and releases the job's admission slot before the
+  /// result frame goes out.
   void finish_job(const JobRequest& request, const BulkJobResult& result,
-                  bool cached, const std::string* blif);
+                  bool cached, const std::string* blif, AdmissionSlot& slot);
 
   bool send_frame(const std::string& line);
 

@@ -17,8 +17,6 @@
 namespace mcrt {
 namespace {
 
-using BoundOverlay = std::map<std::uint32_t, std::int64_t>;
-
 /// Solves one window for minimum period. Robust to bounds that exclude
 /// r = 0 (delta-space justification retries tighten past the current
 /// label): when minperiod's fallback labeling is illegal under the
@@ -258,25 +256,10 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
         implemented = true;
         break;
       }
-      const std::uint32_t v = relocation.failed_vertex.value();
-      failed = v;
-      if (relocation.failed_backward) {
-        const auto it = tightened_upper.find(v);
-        if (it != tightened_upper.end() && it->second <= relocation.achieved) {
-          result.error = "justification failure could not be bounded away: " +
-                         relocation.failure_reason;
-          return result;
-        }
-        tightened_upper[v] = relocation.achieved;
-      } else {
-        const auto it = tightened_lower.find(v);
-        if (it != tightened_lower.end() && it->second >= relocation.achieved) {
-          result.error = "scheduling failure could not be bounded away: " +
-                         relocation.failure_reason;
-          return result;
-        }
-        tightened_lower[v] = relocation.achieved;
-      }
+      failed = relocation.failed_vertex.value();
+      result.error =
+          tighten_failed_bound(relocation, tightened_upper, tightened_lower);
+      if (!result.error.empty()) return result;
     }
     // Re-solve only the window owning the offending vertex, in delta space
     // with the overlay applied; escalate to a full-graph re-solve when the
@@ -332,12 +315,7 @@ WindowedRetimeResult retime_windowed(const Netlist& input,
     return result;
   }
 
-  for (std::size_t v = 1; v < mcg.vertex_count(); ++v) {
-    if (mcg.kind(VertexId{static_cast<std::uint32_t>(v)}) ==
-        McVertexKind::kGate) {
-      stats.moved_layers += static_cast<std::size_t>(std::abs(labels[v]));
-    }
-  }
+  stats.moved_layers = moved_layer_count(mcg, labels);
   stats.register_estimate = global.shared_register_area(labels);
 
   {

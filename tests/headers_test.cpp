@@ -28,6 +28,7 @@
 #include "netlist/dot_export.h"
 #include "netlist/netlist.h"
 #include "netlist/truth_table.h"
+#include "perf/paper_flow.h"
 #include "pipeline/bulk_runner.h"
 #include "pipeline/diagnostics.h"
 #include "pipeline/flow_context.h"

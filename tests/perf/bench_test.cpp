@@ -101,6 +101,132 @@ TEST(BenchRegressionTest, SummaryGeomeanGated) {
   EXPECT_NE(regressions[0].find("summary"), std::string::npos);
 }
 
+// Paper reports carry Table 2 rows instead of speedup columns.
+Json paper_entry(const char* circuit, std::int64_t delay, std::int64_t ff,
+                 bool eq = true) {
+  Json row = Json::object();
+  row.set("ff", ff);
+  row.set("lut", 100);
+  row.set("delay", delay);
+  row.set("eq", eq);
+  Json e = Json::object();
+  e.set("circuit", circuit);
+  e.set("table2", std::move(row));
+  return e;
+}
+
+Json paper_report(std::initializer_list<Json> entries) {
+  Json::Array array;
+  for (const Json& e : entries) array.push_back(e);
+  Json fig1 = Json::object();
+  fig1.set("circuit", "fig1_w2");
+  array.push_back(std::move(fig1));
+  Json summary = Json::object();
+  summary.set("circuits", array.size() - 1);
+  Json doc = Json::object();
+  doc.set("schema", kBenchPaperSchema);
+  doc.set("options", Json::object());
+  doc.set("entries", Json(std::move(array)));
+  doc.set("summary", std::move(summary));
+  return doc;
+}
+
+// A C-slow document: deterministic period ratios.
+Json cslow_report(double c2_ratio) {
+  Json e = Json::object();
+  e.set("circuit", "k_ring_c2");
+  e.set("speedup_throughput", c2_ratio);
+  e.set("identical", true);
+  Json summary = Json::object();
+  summary.set("circuits", 1);
+  summary.set("geomean_speedup", 1.75);
+  summary.set("all_identical", true);
+  Json doc = Json::object();
+  doc.set("schema", kBenchCslowSchema);
+  doc.set("options", Json::object());
+  doc.set("entries", Json(Json::Array{e}));
+  doc.set("summary", std::move(summary));
+  return doc;
+}
+
+TEST(BenchReportTest, PaperReportPasses) {
+  const Json doc = paper_report({paper_entry("C1", 20, 42)});
+  EXPECT_EQ(validate_bench_report(doc, kBenchPaperSchema), "");
+}
+
+TEST(BenchReportTest, PaperReportWithFailedEquivalenceRejected) {
+  const Json doc = paper_report(
+      {paper_entry("C1", 20, 42), paper_entry("C2", 40, 14, /*eq=*/false)});
+  const std::string problem = validate_bench_report(doc, kBenchPaperSchema);
+  EXPECT_NE(problem.find("C2"), std::string::npos) << problem;
+  EXPECT_NE(problem.find("eq=false"), std::string::npos) << problem;
+}
+
+TEST(BenchReportTest, PaperReportWithoutTable2RowsRejected) {
+  EXPECT_NE(validate_bench_report(paper_report({}), kBenchPaperSchema), "");
+}
+
+TEST(BenchRegressionTest, DeterministicDocumentsGetNoSlack) {
+  EXPECT_EQ(bench_gate_slack(kBenchPaperSchema, 0.20), 0.0);
+  EXPECT_EQ(bench_gate_slack(kBenchCslowSchema, 0.20), 0.0);
+  EXPECT_EQ(bench_gate_slack(kBenchRetimeSchema, 0.20), 0.20);
+  EXPECT_EQ(bench_gate_slack(kBenchSimSchema, 0.20), 0.20);
+  EXPECT_EQ(bench_gate_slack(kBenchWindowSchema, 0.20), 0.20);
+}
+
+TEST(BenchRegressionTest, PaperDelayAndRegistersGatedExactly) {
+  const double slack = bench_gate_slack(kBenchPaperSchema, 0.20);
+  const Json baseline =
+      paper_report({paper_entry("C1", 20, 42), paper_entry("C2", 40, 14)});
+  // C1's delay up by one LUT level (10).
+  auto regressions = bench_regressions(
+      paper_report({paper_entry("C1", 30, 42), paper_entry("C2", 40, 14)}),
+      baseline, slack);
+  ASSERT_EQ(regressions.size(), 1u);
+  EXPECT_NE(regressions[0].find("C1: table2.delay"), std::string::npos)
+      << regressions[0];
+  // C2 with one more register.
+  regressions = bench_regressions(
+      paper_report({paper_entry("C1", 20, 42), paper_entry("C2", 40, 15)}),
+      baseline, slack);
+  ASSERT_EQ(regressions.size(), 1u);
+  EXPECT_NE(regressions[0].find("C2: table2.ff"), std::string::npos)
+      << regressions[0];
+}
+
+TEST(BenchRegressionTest, PaperMissingCircuitFlagged) {
+  const Json baseline =
+      paper_report({paper_entry("C1", 20, 42), paper_entry("C2", 40, 14)});
+  const Json current = paper_report({paper_entry("C1", 20, 42)});
+  const auto regressions = bench_regressions(current, baseline, 0.0);
+  ASSERT_EQ(regressions.size(), 1u);
+  EXPECT_NE(regressions[0].find("C2: missing"), std::string::npos)
+      << regressions[0];
+}
+
+TEST(BenchRegressionTest, PaperImprovementPasses) {
+  const Json baseline =
+      paper_report({paper_entry("C1", 20, 42), paper_entry("C2", 40, 14)});
+  const Json current =
+      paper_report({paper_entry("C1", 10, 40), paper_entry("C2", 30, 14)});
+  EXPECT_TRUE(bench_regressions(current, baseline, 0.0).empty());
+}
+
+TEST(BenchRegressionTest, CslowRatioGatedExactly) {
+  // A 1% drop in a deterministic period ratio: inside a 20% wall-clock
+  // slack, but the C-slow document gets none.
+  const Json baseline = cslow_report(1.75);
+  const Json current = cslow_report(1.75 * 0.99);
+  EXPECT_TRUE(bench_regressions(current, baseline, 0.20).empty());
+  const auto regressions = bench_regressions(
+      current, baseline, bench_gate_slack(kBenchCslowSchema, 0.20));
+  ASSERT_EQ(regressions.size(), 1u);
+  EXPECT_NE(regressions[0].find("k_ring_c2: speedup_throughput"),
+            std::string::npos)
+      << regressions[0];
+  EXPECT_TRUE(bench_regressions(cslow_report(1.75), baseline, 0.0).empty());
+}
+
 TEST(BenchReportTest, PrettyWriterRoundTrips) {
   const Json doc = report({entry("C1", 2.5), entry("C2", 3.0)}, 2.7);
   const std::string text = write_bench_report(doc);

@@ -622,6 +622,30 @@ TEST(ServerTest, HealthDrainAndDrainingRejections) {
   EXPECT_TRUE(stats->at("admission").at("draining").as_bool());
 }
 
+TEST(ServerTest, DrainAfterCollectedResultSeesNothingInFlight) {
+  // A job's admission slot is released before its result frame goes out,
+  // so a client that has collected its result and then drains must read
+  // inflight 0 every time, not just usually. Draining cannot be undone, so
+  // each round gets a fresh daemon (a short accept poll keeps its stop
+  // quick).
+  for (int round = 0; round < 200; ++round) {
+    ServerOptions options;
+    options.max_inflight = 4;
+    options.accept_timeout_ms = 5;
+    TestServer daemon(options);
+    ServeClient client = daemon.connect();
+    std::string error;
+    std::vector<ClientJobResult> results;
+    ASSERT_TRUE(
+        client.submit(inline_job("pre", "sweep", testing::fig1_circuit())));
+    ASSERT_TRUE(client.collect(&results, &error)) << error;
+    ASSERT_EQ(results[0].status, "ok") << results[0].error;
+    const auto ack = client.send_drain(&error);
+    ASSERT_TRUE(ack.has_value()) << error;
+    ASSERT_EQ(ack->at("inflight").as_int(), 0) << "round " << round;
+  }
+}
+
 TEST(ServerTest, CoalescesIdenticalInFlightRequests) {
   // The leader ("lead") stalls inside execution while holding the
   // coalescing lead for its (netlist, flow) key; an identical request from

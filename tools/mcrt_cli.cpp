@@ -90,11 +90,16 @@
 //                                           BENCH_sim.json (word vs scalar
 //                                           simulation), BENCH_window.json
 //                                           (windowed vs monolithic
-//                                           retiming) and BENCH_cslow.json
-//                                           (docs/INTERNALS.md describes the
+//                                           retiming), BENCH_cslow.json and
+//                                           BENCH_paper.json (the paper's
+//                                           tables and figures;
+//                                           docs/INTERNALS.md describes the
 //                                           schemas); with --baseline, fails
-//                                           on a speedup regression beyond
-//                                           --max-regress
+//                                           on a wall-clock speedup
+//                                           regression beyond --max-regress
+//                                           or on any C-slow period ratio or
+//                                           Table 2 delay/#FF worse than the
+//                                           baseline
 //   mcrt loadtest [--quick] [--out-dir D] [--seed S]
 //                 [--baseline D --max-regress F]
 //                                           chaos load harness for the serve
@@ -123,6 +128,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <thread>
@@ -233,7 +239,10 @@ int usage() {
                "          [--baseline <dir> --max-regress <frac=0.20>]\n"
                "          engine-vs-reference benchmark (FEAS vs constraint\n"
                "          system, word vs scalar sim, windowed vs monolithic,\n"
-               "          C-slow); writes BENCH_*.json\n"
+               "          C-slow) and the paper's tables and figures; writes\n"
+               "          BENCH_*.json. --max-regress bounds wall-clock\n"
+               "          ratios; C-slow period ratios and Table 2 delay/#FF\n"
+               "          are gated exactly\n"
                "  serve:  mcrt serve (--socket <path> | --port <n>) [--jobs N]\n"
                "          [--cache-mb M] [--disk-cache-dir D "
                "--disk-cache-mb M\n"
@@ -559,100 +568,140 @@ struct BenchFlags {
   std::string out_dir = ".";   ///< where BENCH_*.json land
   std::uint64_t seed = 1;      ///< random_suite / stimulus seed
   std::string baseline_dir;    ///< committed BENCH_*.json to gate against
-  double max_regress = 0.20;   ///< allowed fractional speedup loss
+  double max_regress = 0.20;   ///< allowed fractional wall-clock ratio loss
 };
+
+/// Gates `current` against `<baseline_dir>/<file_name>`: reads, parses and
+/// validates the baseline with `validate`, then reports every regression
+/// beyond `slack` to `diag` under `label`. Returns 0 when there is none.
+int gate_against_baseline(
+    const Json& current, const std::string& baseline_dir,
+    const char* file_name,
+    const std::function<std::string(const Json&)>& validate, double slack,
+    const char* label, StreamDiagnostics& diag) {
+  const std::string path =
+      (std::filesystem::path(baseline_dir) / file_name).string();
+  std::ifstream in(path, std::ios::binary);
+  if (!in.good()) {
+    diag.error(label, "cannot read baseline " + path);
+    return 1;
+  }
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  auto parsed = Json::parse(text);
+  if (const auto* err = std::get_if<JsonParseError>(&parsed)) {
+    diag.error(label, path + ": " + err->message);
+    return 1;
+  }
+  const Json& baseline = std::get<Json>(parsed);
+  const std::string problem = validate(baseline);
+  if (!problem.empty()) {
+    diag.error(label, path + ": " + problem);
+    return 1;
+  }
+  const std::vector<std::string> regressions =
+      bench_regressions(current, baseline, slack);
+  for (const std::string& regression : regressions) {
+    diag.error(label, std::string(file_name) + ": " + regression);
+  }
+  return regressions.empty() ? 0 : 1;
+}
+
+/// One console line per bench entry: its speedup columns or, in the paper
+/// report, the numbers of a circuit's Table 2 row or of a figure entry.
+std::string bench_entry_line(const Json& entry) {
+  std::string line =
+      str_format("  %-8s", entry.at("circuit").as_string().c_str());
+  std::string numbers;
+  bool has_speedup = false;
+  const Json* row = entry.find("table2");
+  for (const auto& [key, value] : (row ? *row : entry).as_object()) {
+    if (key.rfind("speedup", 0) == 0) {
+      line += str_format(" %s=%.2fx", key.c_str(), value.as_number());
+      has_speedup = true;
+    } else if (value.is_number()) {
+      numbers += str_format(" %s=%g", key.c_str(), value.as_number());
+    }
+    for (const auto& [sub, sub_value] : value.as_object()) {
+      if (sub_value.is_number()) {
+        numbers += str_format(" %s.%s=%g", key.c_str(), sub.c_str(),
+                              sub_value.as_number());
+      }
+    }
+  }
+  return has_speedup ? line : line + numbers;
+}
 
 int cmd_bench(const BenchFlags& flags, StreamDiagnostics& diag) {
   namespace fs = std::filesystem;
   const BenchOptions options{flags.quick, flags.seed};
 
-  const auto run_one = [&](const char* label, const char* schema,
-                           const char* file_name, Json (*runner)(
-                               const BenchOptions&)) -> std::optional<Json> {
-    std::printf("bench: running %s suite (%s)...\n", label,
+  struct Document {
+    const char* label;
+    const char* schema;
+    const char* file_name;
+    Json (*runner)(const BenchOptions&);
+  };
+  const Document documents[] = {
+      {"retime", kBenchRetimeSchema, "BENCH_retime.json", run_retime_bench},
+      {"sim", kBenchSimSchema, "BENCH_sim.json", run_sim_bench},
+      {"window", kBenchWindowSchema, "BENCH_window.json", run_window_bench},
+      {"cslow", kBenchCslowSchema, "BENCH_cslow.json", run_cslow_bench},
+      {"paper", kBenchPaperSchema, "BENCH_paper.json", run_paper_bench},
+  };
+
+  std::vector<Json> reports;
+  for (const Document& doc : documents) {
+    std::printf("bench: running %s suite (%s)...\n", doc.label,
                 flags.quick ? "quick" : "full");
-    Json report = runner(options);
-    const std::string problem = validate_bench_report(report, schema);
+    Json report = doc.runner(options);
+    const std::string problem = validate_bench_report(report, doc.schema);
     if (!problem.empty()) {
-      diag.error("bench", std::string(label) + ": " + problem);
-      return std::nullopt;
+      diag.error("bench", std::string(doc.label) + ": " + problem);
+      return 1;
     }
     for (const Json& entry : report.at("entries").as_array()) {
-      std::string line =
-          str_format("  %-8s", entry.at("circuit").as_string().c_str());
-      for (const auto& [key, value] : entry.as_object()) {
-        if (key.rfind("speedup", 0) == 0) {
-          line += str_format(" %s=%.2fx", key.c_str(), value.as_number());
-        }
-      }
-      std::printf("%s\n", line.c_str());
+      std::printf("%s\n", bench_entry_line(entry).c_str());
     }
-    std::printf("  geomean %.2fx over %lld circuits\n",
-                report.at("summary").at("geomean_speedup").as_number(),
-                static_cast<long long>(
-                    report.at("summary").at("circuits").as_int()));
+    const Json& summary = report.at("summary");
+    if (summary.has("geomean_speedup")) {
+      std::printf("  geomean %.2fx over %lld circuits\n",
+                  summary.at("geomean_speedup").as_number(),
+                  static_cast<long long>(summary.at("circuits").as_int()));
+    } else {
+      std::printf("  Rdelay %.2f, Rlut %.2f, register ratio %.2f, %.2f%% "
+                  "local justifications over %lld circuits\n",
+                  summary.at("rdelay").as_number(),
+                  summary.at("rlut").as_number(),
+                  summary.at("register_ratio").as_number(),
+                  summary.at("local_justification_pct").as_number(),
+                  static_cast<long long>(summary.at("circuits").as_int()));
+    }
     std::error_code ec;
     fs::create_directories(flags.out_dir, ec);
-    const std::string path = (fs::path(flags.out_dir) / file_name).string();
+    const std::string path =
+        (fs::path(flags.out_dir) / doc.file_name).string();
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << write_bench_report(report);
     if (!out.good()) {
       diag.error("bench", "cannot write " + path);
-      return std::nullopt;
+      return 1;
     }
     std::printf("  wrote %s\n", path.c_str());
-    return report;
-  };
-
-  const auto retime = run_one("retime", kBenchRetimeSchema,
-                              "BENCH_retime.json", run_retime_bench);
-  if (!retime) return 1;
-  const auto sim =
-      run_one("sim", kBenchSimSchema, "BENCH_sim.json", run_sim_bench);
-  if (!sim) return 1;
-  const auto window = run_one("window", kBenchWindowSchema,
-                              "BENCH_window.json", run_window_bench);
-  if (!window) return 1;
-  const auto cslow = run_one("cslow", kBenchCslowSchema, "BENCH_cslow.json",
-                             run_cslow_bench);
-  if (!cslow) return 1;
+    reports.push_back(std::move(report));
+  }
 
   if (flags.baseline_dir.empty()) return 0;
-
-  // Regression gate: speedup ratios vs the committed baseline documents.
-  const auto gate = [&](const Json& current, const char* schema,
-                        const char* file_name) -> int {
-    const std::string path =
-        (fs::path(flags.baseline_dir) / file_name).string();
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) {
-      diag.error("bench", "cannot read baseline " + path);
-      return 1;
-    }
-    std::string text((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-    auto parsed = Json::parse(text);
-    if (const auto* err = std::get_if<JsonParseError>(&parsed)) {
-      diag.error("bench", path + ": " + err->message);
-      return 1;
-    }
-    const Json& baseline = std::get<Json>(parsed);
-    const std::string problem = validate_bench_report(baseline, schema);
-    if (!problem.empty()) {
-      diag.error("bench", path + ": " + problem);
-      return 1;
-    }
-    const std::vector<std::string> regressions =
-        bench_regressions(current, baseline, flags.max_regress);
-    for (const std::string& regression : regressions) {
-      diag.error("bench", std::string(file_name) + ": " + regression);
-    }
-    return regressions.empty() ? 0 : 1;
-  };
-  int rc = gate(*retime, kBenchRetimeSchema, "BENCH_retime.json");
-  rc |= gate(*sim, kBenchSimSchema, "BENCH_sim.json");
-  rc |= gate(*window, kBenchWindowSchema, "BENCH_window.json");
-  rc |= gate(*cslow, kBenchCslowSchema, "BENCH_cslow.json");
+  int rc = 0;
+  for (std::size_t d = 0; d < reports.size(); ++d) {
+    const Document& doc = documents[d];
+    rc |= gate_against_baseline(
+        reports[d], flags.baseline_dir, doc.file_name,
+        [&doc](const Json& baseline) {
+          return validate_bench_report(baseline, doc.schema);
+        },
+        bench_gate_slack(doc.schema, flags.max_regress), "bench", diag);
+  }
   if (rc == 0) std::printf("bench: no regression vs baseline\n");
   return rc;
 }
@@ -706,36 +755,12 @@ int cmd_loadtest(const BenchFlags& flags, StreamDiagnostics& diag) {
   std::printf("  wrote %s\n", path.c_str());
 
   if (flags.baseline_dir.empty()) return 0;
-  const std::string baseline_path =
-      (fs::path(flags.baseline_dir) / "BENCH_serve.json").string();
-  std::ifstream in(baseline_path, std::ios::binary);
-  if (!in.good()) {
-    diag.error("loadtest", "cannot read baseline " + baseline_path);
-    return 1;
-  }
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto parsed = Json::parse(text);
-  if (const auto* err = std::get_if<JsonParseError>(&parsed)) {
-    diag.error("loadtest", baseline_path + ": " + err->message);
-    return 1;
-  }
-  const Json& baseline = std::get<Json>(parsed);
-  const std::string baseline_problem = validate_serve_bench_report(baseline);
-  if (!baseline_problem.empty()) {
-    diag.error("loadtest", baseline_path + ": " + baseline_problem);
-    return 1;
-  }
-  const std::vector<std::string> regressions =
-      bench_regressions(report, baseline, flags.max_regress);
-  for (const std::string& regression : regressions) {
-    diag.error("loadtest", "BENCH_serve.json: " + regression);
-  }
-  if (regressions.empty()) {
-    std::printf("loadtest: no regression vs baseline\n");
-    return 0;
-  }
-  return 1;
+  const int rc = gate_against_baseline(report, flags.baseline_dir,
+                                       "BENCH_serve.json",
+                                       validate_serve_bench_report,
+                                       flags.max_regress, "loadtest", diag);
+  if (rc == 0) std::printf("loadtest: no regression vs baseline\n");
+  return rc;
 }
 
 struct ServeFlags {

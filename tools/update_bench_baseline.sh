@@ -1,7 +1,7 @@
 #!/bin/sh
 # Regenerates the committed bench documents:
 #   BENCH_retime.json / BENCH_sim.json / BENCH_window.json /
-#   BENCH_cslow.json / BENCH_serve.json
+#   BENCH_cslow.json / BENCH_paper.json / BENCH_serve.json
 #                                        full-suite perf trajectory (repo root;
 #                                        the window report's headline entry runs
 #                                        a deadline-capped monolithic solve and
@@ -10,9 +10,10 @@
 #                                        bench-smoke and serve-chaos gates
 #
 # Run from the repo root on a quiet machine. The CI gate compares speedup
-# *ratios* only, so the baseline does not need to come from CI hardware —
-# but it must come from the default (RelWithDebInfo) build, matching what
-# bench-smoke configures.
+# *ratios* and deterministic solver outputs (C-slow period ratios, the
+# paper report's Table 2 delay and #FF), never wall-clock, so the baseline
+# does not need to come from CI hardware — but it must come from the
+# default (RelWithDebInfo) build, matching what bench-smoke configures.
 #
 #   sh tools/update_bench_baseline.sh [build-dir]
 set -eu
@@ -34,8 +35,8 @@ mkdir -p "$repo_root/bench/baseline"
 
 echo "Updated:"
 for doc in BENCH_retime.json BENCH_sim.json BENCH_window.json \
-           BENCH_cslow.json BENCH_serve.json; do
+           BENCH_cslow.json BENCH_paper.json BENCH_serve.json; do
   echo "  $repo_root/$doc"
   echo "  $repo_root/bench/baseline/$doc"
 done
-echo "Review the speedup columns, then commit all ten files."
+echo "Review the speedup and Table 2 columns, then commit all twelve files."
