@@ -416,21 +416,6 @@ OracleVerdict mono_vs_windowed(const FuzzCase& c,
 
 // --- compact cores vs independent oracles -----------------------------------
 
-/// Mirrors the retime pass's d=10 preprocessing so the FEAS leg solves the
-/// same graph the scripted flows do.
-Netlist with_default_delays(const Netlist& input) {
-  Netlist n = input;
-  for (std::size_t i = 0; i < n.node_count(); ++i) {
-    const NodeId id{static_cast<std::uint32_t>(i)};
-    const Node& node = std::as_const(n).node(id);
-    if (node.kind == NodeKind::kLut && node.function.input_count() >= 1 &&
-        node.delay == 0) {
-      n.set_node_delay(id, 10);
-    }
-  }
-  return n;
-}
-
 OracleVerdict compact_vs_legacy(const FuzzCase& c,
                                 const PassRegistry& registry,
                                 const OracleOptions& options) {
@@ -472,7 +457,10 @@ OracleVerdict compact_vs_legacy(const FuzzCase& c,
   // is checked with the class bounds and without them (the latter is the
   // pure-FEAS search), and the labels must be legal and meet P.
   try {
-    const Netlist delayed = with_default_delays(c.netlist);
+    // The retime pass's d=10 preprocessing, so the FEAS leg solves the
+    // same graph the scripted flows do.
+    Netlist delayed = c.netlist;
+    assign_default_lut_delays(delayed, 10);
     const McPrepared prepared = prepare_mc_graph(delayed, McRetimeOptions{});
     const RetimeGraph bounded =
         lower_to_retime_graph(prepared.graph, prepared.bounds);

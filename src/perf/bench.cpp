@@ -27,6 +27,18 @@
 namespace mcrt {
 namespace {
 
+// Workload circuits come delay-less (delays are the tech mapper's job):
+// every LUT gets the retime pass's default unit, so the retimers have a
+// real timing problem instead of the all-zero-delay degenerate case.
+void apply_unit_delays(Netlist& circuit) {
+  for (std::uint32_t v = 0; v < circuit.node_count(); ++v) {
+    const NodeId id{v};
+    if (circuit.node(id).kind == NodeKind::kLut) {
+      circuit.set_node_delay(id, 10);
+    }
+  }
+}
+
 // The pinned circuit list: Table-1-sized profiles plus the randomized
 // corpus. Quick mode keeps a representative slice so CI smoke stays cheap.
 std::vector<CircuitProfile> bench_suite(const BenchOptions& options) {
@@ -84,15 +96,7 @@ Json bench_retime_circuit(const CircuitProfile& profile, int reps,
   {
     ScopedPhase phase(phases, "generate");
     circuit = generate_circuit(profile);
-    // Workload circuits come delay-less (delays are the tech mapper's job);
-    // give LUTs the default unit the retime pass uses so FEAS has a real
-    // timing problem instead of the all-zero-delay degenerate case.
-    for (std::uint32_t v = 0; v < circuit.node_count(); ++v) {
-      const NodeId id{v};
-      if (circuit.node(id).kind == NodeKind::kLut) {
-        circuit.set_node_delay(id, 10);
-      }
-    }
+    apply_unit_delays(circuit);
   }
   // Bounds are stripped so both sides answer the question FEAS answers:
   // is phi feasible for the unbounded graph?
@@ -285,12 +289,7 @@ Json bench_window_case(const WindowBenchCase& bench_case,
     ScopedPhase phase(phases, "generate");
     circuit = generate_circuit(
         scaled_profile(bench_case.target_gates, seed + bench_case.target_gates));
-    for (std::uint32_t v = 0; v < circuit.node_count(); ++v) {
-      const NodeId id{v};
-      if (circuit.node(id).kind == NodeKind::kLut) {
-        circuit.set_node_delay(id, 10);
-      }
-    }
+    apply_unit_delays(circuit);
   }
 
   // Shared preparation (mc-graph, §4.1 bounds, lowering) is excluded from
@@ -376,17 +375,6 @@ Json bench_window_case(const WindowBenchCase& bench_case,
   entry.set("identical", identical);
   entry.set("phases", phases_json(phases));
   return entry;
-}
-
-// Workload circuits come delay-less; unit-delay LUTs give the retimers a
-// real timing problem (same convention as the retime/window benches).
-void apply_unit_delays(Netlist& circuit) {
-  for (std::uint32_t v = 0; v < circuit.node_count(); ++v) {
-    const NodeId id{v};
-    if (circuit.node(id).kind == NodeKind::kLut) {
-      circuit.set_node_delay(id, 10);
-    }
-  }
 }
 
 // Feedback kernels: the shapes C-slowing exists for. Each is a ring of

@@ -9,6 +9,7 @@
 #include "cslow/stream_check.h"
 #include "sim/equivalence.h"
 #include "tech/decompose.h"
+#include "tech/sta.h"
 #include "transform/decompose_controls.h"
 #include "transform/register_sweep.h"
 #include "transform/strash.h"
@@ -98,91 +99,31 @@ PassResult MapPass::run(FlowContext& context) {
                                    mapped.depth));
 }
 
-namespace {
-
-// The optional C-slow front half shared by RetimePass / RetimeWindowedPass:
-// transform before the solve, metrics + (optional) stream verification after.
-struct CslowStage {
-  std::optional<Netlist> original;  ///< kept only when verification is on
-  CslowStats stats;
-};
-
-bool configure_cslow(const PassArgs& args, std::string* error,
-                     std::uint32_t* factor, bool* verify) {
+bool RetimePassBase::configure_shared(const PassArgs& args,
+                                      McRetimeOptions* options,
+                                      std::string* error) {
   if (const auto c = args.int_value_in_range(
           "cslow", 1, static_cast<std::int64_t>(kMaxCslowFactor), error)) {
-    *factor = static_cast<std::uint32_t>(*c);
+    cslow_ = static_cast<std::uint32_t>(*c);
   } else if (args.contains("cslow")) {
     return false;
   }
   if (args.flag("cslow-verify")) {
-    if (*factor == 0) {
+    if (cslow_ == 0) {
       *error = "argument 'cslow-verify' needs cslow=C";
       return false;
     }
-    *verify = true;
+    cslow_verify_ = true;
   }
-  return true;
-}
-
-std::optional<PassResult> apply_cslow(FlowContext& context,
-                                      std::uint32_t factor, bool verify,
-                                      CslowStage* stage) {
-  if (factor == 0) return std::nullopt;
-  if (verify) stage->original = context.netlist();
-  CslowResult cs = cslow_transform(context.netlist(), factor);
-  if (!cs.success) return PassResult::fail("cslow: " + cs.error);
-  stage->stats = cs.stats;
-  context.replace_netlist(std::move(cs.netlist));
-  return std::nullopt;
-}
-
-std::optional<PassResult> finish_cslow(FlowContext& context,
-                                       std::uint32_t factor,
-                                       const CslowStage& stage) {
-  if (factor == 0) return std::nullopt;
-  context.set_metric("cslow.factor", static_cast<std::int64_t>(factor));
-  context.set_metric("cslow.registers_before",
-                     static_cast<std::int64_t>(stage.stats.registers_before));
-  context.set_metric("cslow.registers_after",
-                     static_cast<std::int64_t>(stage.stats.registers_after));
-  if (!stage.original.has_value()) return std::nullopt;
-  CslowVerifyOptions options;
-  options.cancel = context.cancel;
-  const CslowVerifyResult v =
-      verify_cslow(*stage.original, context.netlist(), factor, options);
-  if (!v.pass) {
-    return PassResult::fail(
-        str_format("cslow verification failed: %s%s%s", v.sim.reason.c_str(),
-                   v.bmc_detail.empty() ? "" : " / ", v.bmc_detail.c_str()));
-  }
-  if (v.sim.skipped) {
-    context.note("cslow stream simulation skipped: " + v.sim.reason);
-  }
-  if (v.bmc_skipped) context.note("cslow BMC skipped: " + v.bmc_detail);
-  context.set_metric("cslow.verified",
-                     (v.sim.skipped && v.bmc_skipped) ? 0 : 1);
-  return std::nullopt;
-}
-
-}  // namespace
-
-bool RetimePass::configure(const PassArgs& args, std::string* error) {
-  if (!args.expect_keys(
-          {"target", "minperiod", "no-sharing", "d", "cslow", "cslow-verify"},
-          name(), error)) {
-    return false;
-  }
-  if (!configure_cslow(args, error, &cslow_, &cslow_verify_)) return false;
   if (const auto target = args.int_value("target", error)) {
-    options_.target_period = *target;
+    options->target_period = *target;
   } else if (args.contains("target")) {
     return false;
   }
   if (args.flag("minperiod")) {
-    options_.objective = McRetimeOptions::Objective::kMinPeriod;
+    options->objective = McRetimeOptions::Objective::kMinPeriod;
   }
-  if (args.flag("no-sharing")) options_.sharing_modification = false;
+  if (args.flag("no-sharing")) options->sharing_modification = false;
   if (const auto d = args.int_value("d", error)) {
     default_lut_delay_ = *d;
   } else if (args.contains("d")) {
@@ -191,34 +132,28 @@ bool RetimePass::configure(const PassArgs& args, std::string* error) {
   return true;
 }
 
-PassResult RetimePass::run(FlowContext& context) {
-  CslowStage cslow_stage;
-  if (auto failed = apply_cslow(context, cslow_, cslow_verify_, &cslow_stage)) {
-    return *failed;
+PassResult RetimePassBase::run(FlowContext& context) {
+  // The optional C-slow front half: transform before the solve, metrics
+  // and (optional) stream verification after.
+  std::optional<Netlist> original;  // kept only when verification is on
+  CslowStats cslow_stats;
+  if (cslow_ > 0) {
+    if (cslow_verify_) original = context.netlist();
+    CslowResult cs = cslow_transform(context.netlist(), cslow_);
+    if (!cs.success) return PassResult::fail("cslow: " + cs.error);
+    cslow_stats = cs.stats;
+    context.replace_netlist(std::move(cs.netlist));
   }
+  // BLIF carries no delays: give delay-less LUTs the default so the period
+  // objective is meaningful. Mapped netlists are untouched. (This runs
+  // after the C-slow transform, so decomposition muxes get it too.)
   if (default_lut_delay_ > 0) {
-    // BLIF carries no delays: give delay-less LUTs the default so the
-    // period objective is meaningful. Mapped netlists are untouched.
-    // (This runs after the C-slow transform, so decomposition muxes get
-    // the default delay too.)
-    Netlist& n = context.netlist();
-    for (std::size_t i = 0; i < n.node_count(); ++i) {
-      const NodeId id{static_cast<std::uint32_t>(i)};
-      if (n.node(id).kind == NodeKind::kLut && !n.node(id).fanins.empty() &&
-          n.node(id).delay == 0) {
-        n.set_node_delay(id, default_lut_delay_);
-      }
-    }
+    assign_default_lut_delays(context.netlist(), default_lut_delay_);
   }
-  McRetimeOptions options = options_;
-  options.cancel = context.cancel;
-  McRetimeResult result = mc_retime(context.netlist(), options);
-  if (!result.success) {
-    return PassResult::fail("retiming failed: " + result.error);
-  }
-  context.replace_netlist(std::move(result.netlist));
-  context.retime_stats = result.stats;
-  const McRetimeStats& s = result.stats;
+  PassResult result = solve(context);
+  if (!result.success) return result;
+
+  const McRetimeStats& s = *context.retime_stats;
   context.set_metric("retime.classes",
                      static_cast<std::int64_t>(s.num_classes));
   context.set_metric("retime.moved_layers",
@@ -230,13 +165,56 @@ PassResult RetimePass::run(FlowContext& context) {
   context.set_metric("retime.registers_after",
                      static_cast<std::int64_t>(s.registers_after));
   context.set_metric("retime.attempts", static_cast<std::int64_t>(s.attempts));
-  if (auto failed = finish_cslow(context, cslow_, cslow_stage)) return *failed;
-  const std::string cslow_note =
-      cslow_ > 0 ? str_format("cslow=%u ", cslow_) : std::string();
+  if (cslow_ == 0) return result;
+
+  context.set_metric("cslow.factor", static_cast<std::int64_t>(cslow_));
+  context.set_metric("cslow.registers_before",
+                     static_cast<std::int64_t>(cslow_stats.registers_before));
+  context.set_metric("cslow.registers_after",
+                     static_cast<std::int64_t>(cslow_stats.registers_after));
+  if (original.has_value()) {
+    CslowVerifyOptions options;
+    options.cancel = context.cancel;
+    const CslowVerifyResult v =
+        verify_cslow(*original, context.netlist(), cslow_, options);
+    if (!v.pass) {
+      return PassResult::fail(str_format(
+          "cslow verification failed: %s%s%s", v.sim.reason.c_str(),
+          v.bmc_detail.empty() ? "" : " / ", v.bmc_detail.c_str()));
+    }
+    if (v.sim.skipped) {
+      context.note("cslow stream simulation skipped: " + v.sim.reason);
+    }
+    if (v.bmc_skipped) context.note("cslow BMC skipped: " + v.bmc_detail);
+    context.set_metric("cslow.verified",
+                       (v.sim.skipped && v.bmc_skipped) ? 0 : 1);
+  }
+  result.summary = str_format("cslow=%u ", cslow_) + result.summary;
+  return result;
+}
+
+bool RetimePass::configure(const PassArgs& args, std::string* error) {
+  return args.expect_keys(
+             {"target", "minperiod", "no-sharing", "d", "cslow",
+              "cslow-verify"},
+             name(), error) &&
+         configure_shared(args, &options_, error);
+}
+
+PassResult RetimePass::solve(FlowContext& context) {
+  McRetimeOptions options = options_;
+  options.cancel = context.cancel;
+  McRetimeResult result = mc_retime(context.netlist(), options);
+  if (!result.success) {
+    return PassResult::fail("retiming failed: " + result.error);
+  }
+  context.replace_netlist(std::move(result.netlist));
+  context.retime_stats = result.stats;
+  const McRetimeStats& s = result.stats;
   return PassResult::ok(str_format(
-      "%sclasses=%zu steps=%zu/%zu period %lld -> %lld ff %zu -> %zu "
+      "classes=%zu steps=%zu/%zu period %lld -> %lld ff %zu -> %zu "
       "(attempts=%zu)",
-      cslow_note.c_str(), s.num_classes, s.moved_layers, s.possible_steps,
+      s.num_classes, s.moved_layers, s.possible_steps,
       static_cast<long long>(s.period_before),
       static_cast<long long>(s.period_after), s.registers_before,
       s.registers_after, s.attempts));
@@ -246,10 +224,10 @@ bool RetimeWindowedPass::configure(const PassArgs& args, std::string* error) {
   if (!args.expect_keys({"window-size", "windows", "window-jobs", "refine",
                          "target", "minperiod", "no-sharing", "d", "cslow",
                          "cslow-verify"},
-                        name(), error)) {
+                        name(), error) ||
+      !configure_shared(args, &options_.base, error)) {
     return false;
   }
-  if (!configure_cslow(args, error, &cslow_, &cslow_verify_)) return false;
   const auto size_arg = [&](const char* key, std::size_t* out) {
     if (const auto v = args.int_value(key, error)) {
       if (*v < 0) {
@@ -273,38 +251,10 @@ bool RetimeWindowedPass::configure(const PassArgs& args, std::string* error) {
     *error = "retime-windowed: window-size must be positive";
     return false;
   }
-  if (const auto target = args.int_value("target", error)) {
-    options_.base.target_period = *target;
-  } else if (args.contains("target")) {
-    return false;
-  }
-  if (args.flag("minperiod")) {
-    options_.base.objective = McRetimeOptions::Objective::kMinPeriod;
-  }
-  if (args.flag("no-sharing")) options_.base.sharing_modification = false;
-  if (const auto d = args.int_value("d", error)) {
-    default_lut_delay_ = *d;
-  } else if (args.contains("d")) {
-    return false;
-  }
   return true;
 }
 
-PassResult RetimeWindowedPass::run(FlowContext& context) {
-  CslowStage cslow_stage;
-  if (auto failed = apply_cslow(context, cslow_, cslow_verify_, &cslow_stage)) {
-    return *failed;
-  }
-  if (default_lut_delay_ > 0) {
-    Netlist& n = context.netlist();
-    for (std::size_t i = 0; i < n.node_count(); ++i) {
-      const NodeId id{static_cast<std::uint32_t>(i)};
-      if (n.node(id).kind == NodeKind::kLut && !n.node(id).fanins.empty() &&
-          n.node(id).delay == 0) {
-        n.set_node_delay(id, default_lut_delay_);
-      }
-    }
-  }
+PassResult RetimeWindowedPass::solve(FlowContext& context) {
   WindowedRetimeOptions options = options_;
   options.base.cancel = context.cancel;
   if (!options.progress) {
@@ -320,17 +270,6 @@ PassResult RetimeWindowedPass::run(FlowContext& context) {
   context.retime_stats = result.stats;
   const McRetimeStats& s = result.stats;
   const WindowedRetimeStats& w = result.window_stats;
-  context.set_metric("retime.classes",
-                     static_cast<std::int64_t>(s.num_classes));
-  context.set_metric("retime.moved_layers",
-                     static_cast<std::int64_t>(s.moved_layers));
-  context.set_metric("retime.period_before", s.period_before);
-  context.set_metric("retime.period_after", s.period_after);
-  context.set_metric("retime.registers_before",
-                     static_cast<std::int64_t>(s.registers_before));
-  context.set_metric("retime.registers_after",
-                     static_cast<std::int64_t>(s.registers_after));
-  context.set_metric("retime.attempts", static_cast<std::int64_t>(s.attempts));
   context.set_metric("retime.windows", static_cast<std::int64_t>(w.windows));
   context.set_metric("retime.cut_edges",
                      static_cast<std::int64_t>(w.cut_edges));
@@ -338,14 +277,10 @@ PassResult RetimeWindowedPass::run(FlowContext& context) {
                      static_cast<std::int64_t>(w.window_timeouts));
   context.set_metric("retime.refine_accepted",
                      static_cast<std::int64_t>(w.refine_accepted));
-  if (auto failed = finish_cslow(context, cslow_, cslow_stage)) return *failed;
-  const std::string cslow_note =
-      cslow_ > 0 ? str_format("cslow=%u ", cslow_) : std::string();
   return PassResult::ok(str_format(
-      "%swindows=%zu classes=%zu period %lld -> %lld ff %zu -> %zu "
+      "windows=%zu classes=%zu period %lld -> %lld ff %zu -> %zu "
       "(cut=%zu refine=%zu/%zu attempts=%zu)",
-      cslow_note.c_str(), w.windows, s.num_classes,
-      static_cast<long long>(s.period_before),
+      w.windows, s.num_classes, static_cast<long long>(s.period_before),
       static_cast<long long>(s.period_after), s.registers_before,
       s.registers_after, w.cut_edges, w.refine_accepted, w.refine_rounds_run,
       s.attempts));

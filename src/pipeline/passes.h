@@ -103,22 +103,13 @@ class MapPass final : public Pass {
   FlowMapOptions options_;
 };
 
-class RetimePass final : public Pass {
+/// What the two retiming passes share: the script arguments target=N,
+/// minperiod, no-sharing, d=D, cslow=C and cslow-verify; the optional C-slow
+/// transform and the default LUT delay d before the solve; the retime.* and
+/// cslow.* metrics after it.
+class RetimePassBase : public Pass {
  public:
-  /// Script defaults: minarea at minimum period, sharing on, delay-less
-  /// LUTs given delay 10 (matching the legacy `mcrt retime` subcommand).
-  RetimePass() = default;
-  /// Programmatic use (benches): full options, and by default no delay
-  /// rewriting — mapped netlists already carry the mapper's delays.
-  explicit RetimePass(McRetimeOptions options,
-                      std::int64_t default_lut_delay = 0)
-      : options_(options), default_lut_delay_(default_lut_delay) {}
-  [[nodiscard]] std::string_view name() const override { return "retime"; }
-  [[nodiscard]] std::string_view description() const override {
-    return "multiple-class retiming (minarea at minimum feasible period)";
-  }
-  bool configure(const PassArgs& args, std::string* error) override;
-  PassResult run(FlowContext& context) override;
+  PassResult run(FlowContext& context) final;
 
   /// Programmatic knob for benches/tools (same as cslow= / cslow-verify).
   void set_cslow(std::uint32_t factor, bool verify = false) {
@@ -126,11 +117,42 @@ class RetimePass final : public Pass {
     cslow_verify_ = verify;
   }
 
+ protected:
+  explicit RetimePassBase(std::int64_t default_lut_delay)
+      : default_lut_delay_(default_lut_delay) {}
+  /// Reads the shared arguments into `options` and this base.
+  bool configure_shared(const PassArgs& args, McRetimeOptions* options,
+                        std::string* error);
+  /// Retimes context.netlist() in place and sets context.retime_stats; the
+  /// result's summary is the pass-specific part of run()'s.
+  virtual PassResult solve(FlowContext& context) = 0;
+
  private:
-  McRetimeOptions options_;
-  std::int64_t default_lut_delay_ = 10;
+  std::int64_t default_lut_delay_;
   std::uint32_t cslow_ = 0;  ///< 0 = off; C >= 1 = C-slow before retiming
   bool cslow_verify_ = false;
+};
+
+class RetimePass final : public RetimePassBase {
+ public:
+  /// Script defaults: minarea at minimum period, sharing on, delay-less
+  /// LUTs given delay 10 (matching the legacy `mcrt retime` subcommand).
+  RetimePass() : RetimePassBase(10) {}
+  /// Programmatic use (benches): full options, and by default no delay
+  /// rewriting — mapped netlists already carry the mapper's delays.
+  explicit RetimePass(McRetimeOptions options,
+                      std::int64_t default_lut_delay = 0)
+      : RetimePassBase(default_lut_delay), options_(options) {}
+  [[nodiscard]] std::string_view name() const override { return "retime"; }
+  [[nodiscard]] std::string_view description() const override {
+    return "multiple-class retiming (minarea at minimum feasible period)";
+  }
+  bool configure(const PassArgs& args, std::string* error) override;
+
+ private:
+  PassResult solve(FlowContext& context) override;
+
+  McRetimeOptions options_;
 };
 
 /// Windowed multiple-class retiming (src/window/): partitions the mc-graph
@@ -143,12 +165,12 @@ class RetimePass final : public Pass {
 /// windows=0 derives the count from window-size; window-jobs=0 uses one
 /// worker per hardware thread. cslow composes: the C-slow transform runs
 /// first, then the windowed solve rebalances the chains.
-class RetimeWindowedPass final : public Pass {
+class RetimeWindowedPass final : public RetimePassBase {
  public:
-  RetimeWindowedPass() = default;
+  RetimeWindowedPass() : RetimePassBase(10) {}
   explicit RetimeWindowedPass(WindowedRetimeOptions options,
                               std::int64_t default_lut_delay = 0)
-      : options_(std::move(options)), default_lut_delay_(default_lut_delay) {}
+      : RetimePassBase(default_lut_delay), options_(std::move(options)) {}
   [[nodiscard]] std::string_view name() const override {
     return "retime-windowed";
   }
@@ -156,18 +178,11 @@ class RetimeWindowedPass final : public Pass {
     return "windowed multiple-class retiming (parallel bounded regions)";
   }
   bool configure(const PassArgs& args, std::string* error) override;
-  PassResult run(FlowContext& context) override;
-
-  void set_cslow(std::uint32_t factor, bool verify = false) {
-    cslow_ = factor;
-    cslow_verify_ = verify;
-  }
 
  private:
+  PassResult solve(FlowContext& context) override;
+
   WindowedRetimeOptions options_;
-  std::int64_t default_lut_delay_ = 10;
-  std::uint32_t cslow_ = 0;
-  bool cslow_verify_ = false;
 };
 
 /// In-flow verification: checks the current netlist against the flow-input

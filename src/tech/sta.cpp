@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace mcrt {
 
@@ -37,6 +38,17 @@ TimingReport analyze_timing(const Netlist& netlist) {
 
 std::int64_t compute_period(const Netlist& netlist) {
   return analyze_timing(netlist).period;
+}
+
+void assign_default_lut_delays(Netlist& netlist, std::int64_t delay) {
+  for (std::size_t i = 0; i < netlist.node_count(); ++i) {
+    const NodeId id{static_cast<std::uint32_t>(i)};
+    const Node& node = std::as_const(netlist).node(id);
+    if (node.kind == NodeKind::kLut && !node.fanins.empty() &&
+        node.delay == 0) {
+      netlist.set_node_delay(id, delay);
+    }
+  }
 }
 
 std::uint32_t lut_depth(const Netlist& netlist) {

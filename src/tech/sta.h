@@ -29,6 +29,11 @@ TimingReport analyze_timing(const Netlist& netlist);
 /// Convenience: just the period.
 std::int64_t compute_period(const Netlist& netlist);
 
+/// Gives every LUT with at least one fanin and delay 0 the delay `delay`.
+/// BLIF carries no delays, so this is how the retime passes and
+/// `mcrt timing` make the period of an unmapped netlist meaningful.
+void assign_default_lut_delays(Netlist& netlist, std::int64_t delay);
+
 /// Unit-delay depth: the most non-constant LUTs on any combinational path,
 /// ignoring node delays. For a FlowMap result this is the mapping depth.
 std::uint32_t lut_depth(const Netlist& netlist);

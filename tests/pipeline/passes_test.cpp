@@ -48,7 +48,9 @@ TEST(PassesTest, MapPassProducesKBoundedLuts) {
   ASSERT_TRUE(manager.run(context).success);
   EXPECT_TRUE(context.metric("map.luts").has_value());
   for (const Node& node : context.netlist().nodes()) {
-    if (node.kind == NodeKind::kLut) EXPECT_LE(node.fanins.size(), 4u);
+    if (node.kind == NodeKind::kLut) {
+      EXPECT_LE(node.fanins.size(), 4u);
+    }
   }
 }
 

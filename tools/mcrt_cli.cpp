@@ -1,125 +1,18 @@
 // mcrt - command-line front end for the multiple-class retiming library.
 //
-//   mcrt stats   in.blif                    circuit statistics
-//   mcrt classes in.blif                    register class report
-//   mcrt timing  in.blif                    worst-path timing report
-//   mcrt dot     in.blif out.dot            netlist as Graphviz dot
-//   mcrt sweep   in.blif out.blif           constant folding + dead logic
-//   mcrt strash  in.blif out.blif           merge duplicate nodes
-//   mcrt regsweep in.blif out.blif          merge duplicate registers
-//   mcrt map     [-k N] [-d D] in out       decompose + FlowMap k-LUT map
-//   mcrt retime  [--minperiod] [--no-sharing] [--target P] in out
-//                [--windows N] [--window-size N] [--window-jobs N]
-//                [--cslow C]
-//                                           mc-retiming (default: minarea
-//                                           at minimum feasible period);
-//                                           --cslow C replicates every
-//                                           register into a chain of C
-//                                           before retiming, multiplying
-//                                           throughput across C interleaved
-//                                           streams (src/cslow/,
-//                                           docs/CSLOW.md); with --verify
-//                                           the stream-equivalence + BMC
-//                                           self-check runs instead of the
-//                                           flow-level spot check (a
-//                                           C-slowed netlist is not
-//                                           input-equivalent);
-//                                           any --window* flag switches to
-//                                           the windowed flow (src/window/,
-//                                           docs/WINDOWING.md): partition
-//                                           into bounded regions, solve in
-//                                           parallel, stitch
-//   mcrt decompose-en   in out              EN -> feedback mux (baseline)
-//   mcrt decompose-sync in out              SS/SC -> gates before D
-//   mcrt check   [--formal] [--bmc N] a.blif b.blif
-//                                           sequential equivalence
-//   mcrt flow    "<script>" in out          run any pass pipeline, e.g.
-//                                           "sweep; strash; retime(target=24)"
-//                                           (see docs/PIPELINE.md); --profile
-//                                           prints per-pass timing, --verify
-//                                           spot-checks equivalence between
-//                                           passes
-//   mcrt bulk    "<script>" [--jobs N] [--out-dir D] [--report F]
-//                [--canonical] [--timeout S] [--manifest F] [--resume]
-//                [--retries N] <in.blif|dir>...
-//                                           run one flow over many circuits
-//                                           in parallel; directories expand
-//                                           to their *.blif files, outputs
-//                                           land in --out-dir (atomically),
-//                                           --report writes a JSON report
-//                                           (--canonical: timing-free,
-//                                           machine-independent bytes).
-//                                           --timeout bounds each job's wall
-//                                           clock; ctrl-C cancels the batch
-//                                           cleanly. --manifest journals
-//                                           completed jobs so a killed batch
-//                                           resumes with --resume, skipping
-//                                           finished work; --retries re-runs
-//                                           transient (I/O) failures.
-//   mcrt corpus  <out-dir> [--count N] [--seed S] [--gates G]
-//                                           write a deterministic randomized
-//                                           BLIF corpus (workload generator);
-//                                           --gates adds one scaled design
-//                                           of ~G LUTs (the windowed-retiming
-//                                           size range); progress goes to the
-//                                           diagnostics sink on big suites
-//   mcrt fuzz    [--budget-s S] [--cases N] [--seed S] [--oracle NAME]
-//                [--out-dir D] [--report F] [--canonical] [--repro PATH]
-//                [--update]
-//                                           differential fuzzing across the
-//                                           engine pairs (serial-vs-bulk,
-//                                           bulk-vs-serve, mono-vs-windowed,
-//                                           compact-vs-legacy,
-//                                           cslow-vs-replicated): sample a
-//                                           random circuit + flow script,
-//                                           cross-check, minimize failures
-//                                           into self-contained reproducers
-//                                           (docs/FUZZING.md). --repro PATH
-//                                           replays one reproducer file;
-//                                           with an explicit --seed it first
-//                                           regenerates that exact case and
-//                                           writes it to PATH, so a CI
-//                                           failure line is copy-pasteable.
-//   mcrt bench   [--quick] [--out-dir D] [--seed S]
-//                [--baseline D --max-regress F]
-//                                           engines vs their reference
-//                                           formulations on the pinned
-//                                           workload suite; writes
-//                                           BENCH_retime.json (FEAS vs the
-//                                           constraint system),
-//                                           BENCH_sim.json (word vs scalar
-//                                           simulation), BENCH_window.json
-//                                           (windowed vs monolithic
-//                                           retiming), BENCH_cslow.json and
-//                                           BENCH_paper.json (the paper's
-//                                           tables and figures;
-//                                           docs/INTERNALS.md describes the
-//                                           schemas); with --baseline, fails
-//                                           on a wall-clock speedup
-//                                           regression beyond --max-regress
-//                                           or on any C-slow period ratio or
-//                                           Table 2 delay/#FF worse than the
-//                                           baseline
-//   mcrt loadtest [--quick] [--out-dir D] [--seed S]
-//                 [--baseline D --max-regress F]
-//                                           chaos load harness for the serve
-//                                           stack: in-process daemons under
-//                                           injected disk faults, dropped
-//                                           connections and a corrupt-entry
-//                                           restart; every response is
-//                                           byte-compared against the bulk
-//                                           path; writes BENCH_serve.json
-//
-// Every transforming subcommand is a canned pipeline over the same
-// pipeline/PassManager that `flow` scripts use, so stats reporting, timing
-// and invariant checking behave identically everywhere.
+// Run `mcrt` with no arguments for the usage text. It is generated from the
+// two tables below, kCommands (one row per subcommand) and kFlags (one row
+// per flag: type, destination, range, the commands that read it, help), so
+// parsing, validation and the documentation cannot drift apart. The
+// transforming subcommands (sweep, strash, regsweep, decompose-en,
+// decompose-sync, map, retime) are one-pass flow scripts over the same
+// PassManager that `mcrt flow` runs (docs/PIPELINE.md).
 //
 // All files are BLIF with the `.mclatch` extension for complex registers
-// (see blif/blif.h). Gate delays: `map` assigns -d per LUT (default 10);
-// `retime` gives delay-less LUTs -d so the period objective is meaningful;
-// other commands preserve what the file had (0 if none).
+// (see blif/blif.h).
 #include <algorithm>
 #include <charconv>
+#include <climits>
 #include <chrono>
 #include <cmath>
 #include <csignal>
@@ -130,9 +23,14 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
+#include <limits>
+#include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "base/cancel.h"
@@ -188,87 +86,96 @@ bool parse_number(const std::string& text, T* out) {
   return true;
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: mcrt <stats|classes|timing|dot|sweep|strash|regsweep|"
-               "map|retime|decompose-en|decompose-sync|check|flow|bulk|"
-               "corpus> [options] <in.blif> [out.blif]\n"
-               "  map:    -k <lut_inputs=4>  -d <lut_delay=10>\n"
-               "  retime: --minperiod  --no-sharing  --target <period>\n"
-               "          --windows <n> | --window-size <n=1024> "
-               "[--window-jobs <n>]\n"
-               "          (any --window* flag selects the windowed parallel "
-               "flow)\n"
-               "          --cslow <C> (replicate registers into chains of C\n"
-               "          and retime: C interleaved streams at ~T/C each;\n"
-               "          --verify then runs the stream-equivalence check)\n"
-               "  check:  --formal  --bmc <depth>  --bmc-x-ok (treat a\n"
-               "          defined output refining an X as benign)\n"
-               "  flow:   mcrt flow \"<script>\" in.blif out.blif\n"
-               "          script: pass[(arg,key=val)]; pass; ...  e.g.\n"
-               "          \"sweep; strash; retime(target=24,no-sharing); "
-               "map(k=4)\"\n"
-               "          --profile (per-pass timing)  --verify (per-pass\n"
-               "          equivalence spot check)  --no-validate\n"
-               "  bulk:   mcrt bulk \"<script>\" [--jobs N] [--out-dir D]\n"
-               "          [--report F] [--canonical] [--timeout <seconds>]\n"
-               "          [--manifest F] [--resume] [--retries N]\n"
-               "          <in.blif|dir>...\n"
-               "  resilience (flow and bulk):\n"
-               "          --timeout <s>       per-flow/per-job deadline\n"
-               "          --budget-bdd <n>    BDD node cap for verification\n"
-               "          --budget-bmc <n>    BMC unroll depth cap\n"
-               "          --budget-rss-mb <m> peak-RSS budget per flow\n"
-               "          --faults \"<spec>\"   inject faults, e.g.\n"
-               "          \"pass:retime=throw; write:*=fail@2\" (also via\n"
-               "          MCRT_FAULT_* environment variables)\n"
-               "  corpus: mcrt corpus <out-dir> [--count N] [--seed S]\n"
-               "          [--gates G] (adds one ~G-LUT scaled design)\n"
-               "  fuzz:   mcrt fuzz [--budget-s S] [--cases N] [--seed S]\n"
-               "          [--oracle <serial-vs-bulk|bulk-vs-serve|"
-               "mono-vs-windowed|compact-vs-legacy|cslow-vs-replicated>]\n"
-               "          [--out-dir D] [--report F] [--canonical]\n"
-               "          differential fuzzing across the engine pairs;\n"
-               "          failures are minimized into reproducers in "
-               "--out-dir.\n"
-               "          mcrt fuzz --repro <file> replays one reproducer\n"
-               "          (--update re-minimizes and rewrites it); with an\n"
-               "          explicit --seed the case is regenerated and\n"
-               "          written to <file> first (see docs/FUZZING.md)\n"
-               "  bench:  mcrt bench [--quick] [--out-dir D] [--seed S]\n"
-               "          [--baseline <dir> --max-regress <frac=0.20>]\n"
-               "          engine-vs-reference benchmark (FEAS vs constraint\n"
-               "          system, word vs scalar sim, windowed vs monolithic,\n"
-               "          C-slow) and the paper's tables and figures; writes\n"
-               "          BENCH_*.json. --max-regress bounds wall-clock\n"
-               "          ratios; C-slow period ratios and Table 2 delay/#FF\n"
-               "          are gated exactly\n"
-               "  serve:  mcrt serve (--socket <path> | --port <n>) [--jobs N]\n"
-               "          [--cache-mb M] [--disk-cache-dir D "
-               "--disk-cache-mb M\n"
-               "          --disk-cache-ttl-s S (age out disk entries)]\n"
-               "          [--max-inflight N --retry-after-ms MS] [--timeout S]\n"
-               "          [--no-validate] [--verify] [--faults <spec>] "
-               "[budgets]\n"
-               "          persistent retiming daemon with a structural\n"
-               "          result cache and a crash-safe disk tier (see\n"
-               "          docs/SERVER.md)\n"
-               "  client: mcrt client \"<script>\" (--socket <p> | --port <n>)\n"
-               "          [--out-dir D] [--report F --canonical] [--timeout S]\n"
-               "          [--retries N --retry-base-ms MS] [--tenant T]\n"
-               "          [--stats] [--shutdown] <in.blif|dir>...\n"
-               "          submit circuits to a running daemon; also:\n"
-               "          mcrt client --hello|--stats|--health|--drain|"
-               "--shutdown\n"
-               "  loadtest: mcrt loadtest [--quick] [--seed S]\n"
-               "          [--out-dir D] [--baseline <dir> "
-               "[--max-regress F]]\n"
-               "          chaos load harness: spins in-process daemons and\n"
-               "          drives traffic under injected disk and connection\n"
-               "          faults plus a corrupt-entry restart recovery\n"
-               "          check; writes BENCH_serve.json\n"
-               "  mcrt --version prints version, build type and sanitizers\n");
-  return 2;
+/// Every value a flag can set: each field is the destination of exactly one
+/// kFlags row, and its initializer is what a command sees when the flag is
+/// absent. `positionals` and `given` are filled by the parser.
+struct Args {
+  std::vector<std::string> positionals;
+  /// The flags on the command line, each with its value text ("" for a
+  /// switch).
+  std::map<std::string_view, std::string> given;
+
+  [[nodiscard]] bool has(std::string_view flag) const {
+    return given.count(flag) != 0;
+  }
+
+  // Flow execution.
+  bool profile = false;
+  bool verify = false;
+  bool no_validate = false;
+  double timeout = 0;  ///< seconds; 0 = no deadline
+  std::uint64_t budget_bdd = 0;
+  std::uint64_t budget_bmc = 0;
+  std::uint64_t budget_rss_mb = 0;
+  std::string faults;  ///< merged over the MCRT_FAULT_* environment
+  // Pass arguments of the one-pass aliases (`timing` reads lut_delay).
+  std::uint64_t lut_k = 4;
+  std::int64_t lut_delay = 10;
+  std::int64_t target = 0;
+  bool minperiod = false;
+  bool no_sharing = false;
+  std::uint64_t cslow = 0;
+  std::uint64_t windows = 0;
+  std::uint64_t window_size = 0;
+  std::uint64_t window_jobs = 0;
+  // check.
+  bool formal = false;
+  std::uint64_t bmc_depth = 0;
+  bool bmc_x_ok = false;
+  // Batches: bulk, client, fuzz (and serve's --jobs, bench's --out-dir).
+  std::uint64_t jobs = 0;  ///< 0 = hardware concurrency
+  std::string out_dir;
+  std::string report;
+  bool canonical = false;
+  std::string manifest;
+  bool resume = false;
+  std::uint64_t retries = 0;
+  // corpus, bench, loadtest.
+  std::uint64_t count = 10;
+  std::uint64_t gates = 0;
+  std::uint64_t seed = 1;
+  bool quick = false;
+  std::string baseline;
+  double max_regress = 0.20;
+  // fuzz.
+  double budget_s = 0;
+  std::uint64_t cases = 0;
+  std::string oracle;
+  std::string repro;
+  bool update = false;
+  std::string plant_bug;
+  // serve and client.
+  std::string socket;
+  std::uint64_t port = 0;
+  std::uint64_t cache_mb = 64;
+  std::string disk_cache_dir;
+  std::uint64_t disk_cache_mb = 256;
+  std::uint64_t disk_cache_ttl_s = 0;
+  std::uint64_t max_inflight = 0;
+  std::int64_t retry_after_ms = 200;
+  std::int64_t retry_base_ms = 50;
+  std::string tenant;
+  bool hello = false;
+  bool stats = false;
+  bool health = false;
+  bool drain = false;
+  bool shutdown = false;
+};
+
+ResourceBudgets budgets(const Args& args) {
+  return {args.budget_bdd, args.budget_bmc, args.budget_rss_mb << 20};
+}
+
+/// Pass-manager settings shared by flow, bulk and serve. `--verify` runs
+/// the same equivalence spot check everywhere, so a served request with
+/// verify=true checks exactly like `mcrt bulk --verify`.
+PassManagerOptions manager_options(const Args& args) {
+  PassManagerOptions options;
+  options.check_invariants = !args.no_validate;
+  options.check_equivalence = args.verify;
+  options.equivalence.runs = 2;
+  options.equivalence.cycles = 48;
+  return options;
 }
 
 /// Loads + validates a netlist, reporting every problem to `diag`.
@@ -307,12 +214,17 @@ void print_stats(const Netlist& n, const char* label) {
               static_cast<long long>(compute_period(n)));
 }
 
-int cmd_stats(const Netlist& n) {
-  print_stats(n, "circuit");
+int cmd_stats(const Args& args, StreamDiagnostics& diag) {
+  const auto n = load(args.positionals[0], diag);
+  if (!n) return 1;
+  print_stats(*n, "circuit");
   return 0;
 }
 
-int cmd_classes(const Netlist& n) {
+int cmd_classes(const Args& args, StreamDiagnostics& diag) {
+  const auto input = load(args.positionals[0], diag);
+  if (!input) return 1;
+  const Netlist& n = *input;
   const auto classes = classify_registers(n);
   std::printf("%zu registers in %zu classes\n", n.register_count(),
               classes.class_count());
@@ -334,41 +246,90 @@ int cmd_classes(const Netlist& n) {
   return 0;
 }
 
-struct FlowFlags {
-  bool profile = false;
-  bool verify = false;
-  bool validate = true;
-  double timeout_seconds = 0;  ///< per-flow (or per-bulk-job) deadline
-  ResourceBudgets budgets;
-  std::string fault_spec;  ///< --faults, merged over MCRT_FAULT_* env
-};
+int cmd_timing(const Args& args, StreamDiagnostics& diag) {
+  auto timed = load(args.positionals[0], diag);
+  if (!timed) return 1;
+  assign_default_lut_delays(*timed, args.lut_delay);
+  const auto paths = worst_paths(*timed, 5);
+  std::fputs(format_timing_report(*timed, paths).c_str(), stdout);
+  return 0;
+}
+
+int cmd_dot(const Args& args, StreamDiagnostics& diag) {
+  const auto input = load(args.positionals[0], diag);
+  if (!input) return 1;
+  if (!write_dot_file(*input, args.positionals[1])) {
+    diag.error(args.positionals[1], "cannot write file");
+    return 1;
+  }
+  return 0;
+}
+
+int cmd_check(const Args& args, StreamDiagnostics& diag) {
+  const auto input = load(args.positionals[0], diag);
+  if (!input) return 1;
+  const auto other = load(args.positionals[1], diag);
+  if (!other) return 1;
+  const auto sim = check_sequential_equivalence(*input, *other, {});
+  std::printf("simulation: %s (%zu defined outputs)%s%s\n",
+              sim.equivalent ? "EQUIVALENT" : "DIFFERENT",
+              sim.compared_defined_outputs,
+              sim.equivalent ? "" : " - ",
+              sim.counterexample.c_str());
+  if (args.bmc_depth > 0) {
+    TernaryBmcOptions bo;
+    bo.depth = args.bmc_depth;
+    bo.x_refinement_ok = args.bmc_x_ok;
+    bo.cancel = &g_interrupt;
+    const auto bmc = check_ternary_bmc(*input, *other, bo);
+    const char* verdict =
+        bmc.verdict == TernaryBmcResult::Verdict::kEquivalentUpToDepth
+            ? "EQUIVALENT (bounded)"
+        : bmc.verdict == TernaryBmcResult::Verdict::kMismatch ? "DIFFERENT"
+        : bmc.verdict == TernaryBmcResult::Verdict::kResourceLimit
+            ? "RESOURCE-LIMIT"
+            : "UNSUPPORTED";
+    std::printf("bmc[%zu]:    %s (%s)\n",
+                static_cast<std::size_t>(args.bmc_depth), verdict,
+                bmc.detail.c_str());
+    if (bmc.verdict == TernaryBmcResult::Verdict::kMismatch) return 1;
+  }
+  if (args.formal) {
+    const auto fv = check_formal_equivalence(*input, *other, {});
+    const char* verdict =
+        fv.verdict == FormalResult::Verdict::kEquivalent  ? "EQUIVALENT"
+        : fv.verdict == FormalResult::Verdict::kMismatch ? "DIFFERENT"
+                                                         : "UNSUPPORTED";
+    std::printf("formal:     %s (%s)\n", verdict, fv.detail.c_str());
+    return fv.verdict == FormalResult::Verdict::kEquivalent && sim.equivalent
+               ? 0
+               : 1;
+  }
+  return sim.equivalent ? 0 : 1;
+}
 
 /// Builds the --faults injector (on top of the MCRT_FAULT_* environment
 /// configuration). Returns false on a malformed spec.
-bool make_fault_injector(const FlowFlags& flags, FaultInjector& injector,
+bool make_fault_injector(const Args& args, FaultInjector& injector,
                          DiagnosticsSink& diag) {
-  if (flags.fault_spec.empty()) return true;
+  if (args.faults.empty()) return true;
   std::string error;
-  if (!injector.configure(flags.fault_spec, &error)) {
+  if (!injector.configure(args.faults, &error)) {
     diag.error("--faults", error);
     return false;
   }
   return true;
 }
 
-/// Shared driver for `flow` and the canned legacy pipelines: compile the
-/// script, run it, report, write the result.
+/// Shared driver for `flow` and the one-pass aliases: compile the script,
+/// run it, report, write the result.
 int run_flow(const std::string& script, const std::string& in_path,
-             const std::string& out_path, const FlowFlags& flags,
+             const std::string& out_path, const Args& args,
              StreamDiagnostics& diag) {
   auto input = load(in_path, diag);
   if (!input) return 1;
 
-  PassManagerOptions options;
-  options.check_invariants = flags.validate;
-  options.check_equivalence = flags.verify;
-  options.equivalence.runs = 2;
-  options.equivalence.cycles = 48;
+  PassManagerOptions options = manager_options(args);
   options.verbose = true;
   PassManager manager(options);
   if (const auto error =
@@ -379,15 +340,15 @@ int run_flow(const std::string& script, const std::string& in_path,
 
   FlowContext context(std::move(*input), &diag);
   CancelToken deadline(&g_interrupt);
-  if (flags.timeout_seconds > 0) deadline.set_timeout(flags.timeout_seconds);
+  if (args.timeout > 0) deadline.set_timeout(args.timeout);
   context.cancel = &deadline;
-  context.budgets = flags.budgets;
+  context.budgets = budgets(args);
   FaultInjector faults;
-  if (!make_fault_injector(flags, faults, diag)) return 2;
-  if (!flags.fault_spec.empty()) context.faults = &faults;
+  if (!make_fault_injector(args, faults, diag)) return 2;
+  if (!args.faults.empty()) context.faults = &faults;
 
   const FlowResult result = manager.run(context);
-  if (flags.profile) std::fputs(result.format_profile().c_str(), stderr);
+  if (args.profile) std::fputs(result.format_profile().c_str(), stderr);
   if (!result.success) {
     diag.error("flow", str_format("%s: %s", flow_status_name(result.status),
                                   result.error.c_str()));
@@ -397,15 +358,10 @@ int run_flow(const std::string& script, const std::string& in_path,
   return store(context.netlist(), out_path, diag) ? 0 : 1;
 }
 
-struct BulkFlags {
-  std::size_t jobs = 0;  ///< 0 = hardware concurrency
-  std::string out_dir;
-  std::string report_path;
-  bool canonical = false;
-  std::string manifest_path;
-  bool resume = false;
-  std::size_t retries = 0;
-};
+int cmd_flow(const Args& args, StreamDiagnostics& diag) {
+  return run_flow(args.positionals[0], args.positionals[1],
+                  args.positionals[2], args, diag);
+}
 
 /// Expands each input (a .blif file or a directory scanned for *.blif,
 /// sorted) into bulk jobs writing to `out_dir` (if given). Deterministic
@@ -462,12 +418,13 @@ std::vector<BulkJob> collect_bulk_jobs(const std::vector<std::string>& inputs,
   return jobs;
 }
 
-int cmd_bulk(const std::string& script, const std::vector<std::string>& inputs,
-             const BulkFlags& bulk, const FlowFlags& flags,
-             StreamDiagnostics& diag) {
+int cmd_bulk(const Args& args, StreamDiagnostics& diag) {
+  const std::string& script = args.positionals[0];
+  const std::vector<std::string> inputs(args.positionals.begin() + 1,
+                                        args.positionals.end());
   bool ok = false;
   std::vector<BulkJob> jobs =
-      collect_bulk_jobs(inputs, bulk.out_dir, diag, &ok);
+      collect_bulk_jobs(inputs, args.out_dir, diag, &ok);
   if (!ok) return 2;
   if (jobs.empty()) {
     diag.error("bulk", "no input circuits");
@@ -475,21 +432,18 @@ int cmd_bulk(const std::string& script, const std::vector<std::string>& inputs,
   }
 
   FaultInjector faults;
-  if (!make_fault_injector(flags, faults, diag)) return 2;
+  if (!make_fault_injector(args, faults, diag)) return 2;
 
   BulkOptions options;
-  options.jobs = bulk.jobs;
-  options.manager.check_invariants = flags.validate;
-  options.manager.check_equivalence = flags.verify;
-  options.manager.equivalence.runs = 2;
-  options.manager.equivalence.cycles = 48;
-  options.timeout_seconds = flags.timeout_seconds;
+  options.jobs = args.jobs;
+  options.manager = manager_options(args);
+  options.timeout_seconds = args.timeout;
   options.cancel = &g_interrupt;
-  options.manifest_path = bulk.manifest_path;
-  options.resume = bulk.resume;
-  options.max_retries = bulk.retries;
-  options.budgets = flags.budgets;
-  if (!flags.fault_spec.empty()) options.faults = &faults;
+  options.manifest_path = args.manifest;
+  options.resume = args.resume;
+  options.max_retries = args.retries;
+  options.budgets = budgets(args);
+  if (!args.faults.empty()) options.faults = &faults;
   BulkRunner runner(script, options);
   if (const auto error = runner.check()) {
     diag.error("bulk", *error);
@@ -518,31 +472,30 @@ int cmd_bulk(const std::string& script, const std::vector<std::string>& inputs,
               report.succeeded(), report.results.size(), report.jobs,
               report.wall_seconds, report.cpu_seconds, report.speedup());
 
-  if (!bulk.report_path.empty()) {
+  if (!args.report.empty()) {
     BulkJsonOptions json;
-    json.canonical = bulk.canonical;
-    std::ofstream out(bulk.report_path, std::ios::binary);
+    json.canonical = args.canonical;
+    std::ofstream out(args.report, std::ios::binary);
     out << report.to_json(json);
     if (!out) {
-      diag.error(bulk.report_path, "cannot write report");
+      diag.error(args.report, "cannot write report");
       return 1;
     }
   }
   return report.failed() == 0 ? 0 : 1;
 }
 
-int cmd_corpus(const std::string& out_dir, std::size_t count,
-               std::uint64_t seed, std::size_t scaled_gates,
-               StreamDiagnostics& diag) {
+int cmd_corpus(const Args& args, StreamDiagnostics& diag) {
   namespace fs = std::filesystem;
+  const std::string& out_dir = args.positionals[0];
   std::error_code ec;
   fs::create_directories(out_dir, ec);
-  std::vector<CircuitProfile> suite = random_suite(count, seed);
-  if (scaled_gates > 0) suite.push_back(scaled_profile(scaled_gates, seed));
+  std::vector<CircuitProfile> suite = random_suite(args.count, args.seed);
+  if (args.gates > 0) suite.push_back(scaled_profile(args.gates, args.seed));
   // Big suites (many circuits, or a scaled design that takes seconds to
   // generate and write) report progress through the diagnostics sink so a
   // long-running corpus build is visibly alive, not hung.
-  const bool report_progress = suite.size() >= 16 || scaled_gates >= 100000;
+  const bool report_progress = suite.size() >= 16 || args.gates >= 100000;
   for (std::size_t i = 0; i < suite.size(); ++i) {
     const CircuitProfile& profile = suite[i];
     if (report_progress) {
@@ -562,14 +515,6 @@ int cmd_corpus(const std::string& out_dir, std::size_t count,
   }
   return 0;
 }
-
-struct BenchFlags {
-  bool quick = false;          ///< trimmed suite + fewer reps (CI smoke)
-  std::string out_dir = ".";   ///< where BENCH_*.json land
-  std::uint64_t seed = 1;      ///< random_suite / stimulus seed
-  std::string baseline_dir;    ///< committed BENCH_*.json to gate against
-  double max_regress = 0.20;   ///< allowed fractional wall-clock ratio loss
-};
 
 /// Gates `current` against `<baseline_dir>/<file_name>`: reads, parses and
 /// validates the baseline with `validate`, then reports every regression
@@ -632,9 +577,16 @@ std::string bench_entry_line(const Json& entry) {
   return has_speedup ? line : line + numbers;
 }
 
-int cmd_bench(const BenchFlags& flags, StreamDiagnostics& diag) {
+/// bench and loadtest write their documents to the working directory by
+/// default.
+std::string bench_out_dir(const Args& args) {
+  return args.out_dir.empty() ? "." : args.out_dir;
+}
+
+int cmd_bench(const Args& args, StreamDiagnostics& diag) {
   namespace fs = std::filesystem;
-  const BenchOptions options{flags.quick, flags.seed};
+  const BenchOptions options{args.quick, args.seed};
+  const std::string out_dir = bench_out_dir(args);
 
   struct Document {
     const char* label;
@@ -653,7 +605,7 @@ int cmd_bench(const BenchFlags& flags, StreamDiagnostics& diag) {
   std::vector<Json> reports;
   for (const Document& doc : documents) {
     std::printf("bench: running %s suite (%s)...\n", doc.label,
-                flags.quick ? "quick" : "full");
+                args.quick ? "quick" : "full");
     Json report = doc.runner(options);
     const std::string problem = validate_bench_report(report, doc.schema);
     if (!problem.empty()) {
@@ -678,9 +630,8 @@ int cmd_bench(const BenchFlags& flags, StreamDiagnostics& diag) {
                   static_cast<long long>(summary.at("circuits").as_int()));
     }
     std::error_code ec;
-    fs::create_directories(flags.out_dir, ec);
-    const std::string path =
-        (fs::path(flags.out_dir) / doc.file_name).string();
+    fs::create_directories(out_dir, ec);
+    const std::string path = (fs::path(out_dir) / doc.file_name).string();
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << write_bench_report(report);
     if (!out.good()) {
@@ -691,30 +642,31 @@ int cmd_bench(const BenchFlags& flags, StreamDiagnostics& diag) {
     reports.push_back(std::move(report));
   }
 
-  if (flags.baseline_dir.empty()) return 0;
+  if (args.baseline.empty()) return 0;
   int rc = 0;
   for (std::size_t d = 0; d < reports.size(); ++d) {
     const Document& doc = documents[d];
     rc |= gate_against_baseline(
-        reports[d], flags.baseline_dir, doc.file_name,
+        reports[d], args.baseline, doc.file_name,
         [&doc](const Json& baseline) {
           return validate_bench_report(baseline, doc.schema);
         },
-        bench_gate_slack(doc.schema, flags.max_regress), "bench", diag);
+        bench_gate_slack(doc.schema, args.max_regress), "bench", diag);
   }
   if (rc == 0) std::printf("bench: no regression vs baseline\n");
   return rc;
 }
 
-int cmd_loadtest(const BenchFlags& flags, StreamDiagnostics& diag) {
+int cmd_loadtest(const Args& args, StreamDiagnostics& diag) {
   namespace fs = std::filesystem;
+  const std::string out_dir = bench_out_dir(args);
   ServeBenchOptions options;
-  options.quick = flags.quick;
-  options.seed = flags.seed;
-  options.work_dir = (fs::path(flags.out_dir) / "loadtest_work").string();
+  options.quick = args.quick;
+  options.seed = args.seed;
+  options.work_dir = (fs::path(out_dir) / "loadtest_work").string();
 
   std::printf("loadtest: running serve chaos phases (%s)...\n",
-              flags.quick ? "quick" : "full");
+              args.quick ? "quick" : "full");
   const Json report = run_serve_bench(options, &diag);
   const std::string problem = validate_serve_bench_report(report);
   if (!problem.empty()) {
@@ -743,9 +695,8 @@ int cmd_loadtest(const BenchFlags& flags, StreamDiagnostics& diag) {
       summary.at("restart_disk_hit_ratio").as_number());
 
   std::error_code ec;
-  fs::create_directories(flags.out_dir, ec);
-  const std::string path =
-      (fs::path(flags.out_dir) / "BENCH_serve.json").string();
+  fs::create_directories(out_dir, ec);
+  const std::string path = (fs::path(out_dir) / "BENCH_serve.json").string();
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out << write_bench_report(report);
   if (!out.good()) {
@@ -754,65 +705,43 @@ int cmd_loadtest(const BenchFlags& flags, StreamDiagnostics& diag) {
   }
   std::printf("  wrote %s\n", path.c_str());
 
-  if (flags.baseline_dir.empty()) return 0;
-  const int rc = gate_against_baseline(report, flags.baseline_dir,
+  if (args.baseline.empty()) return 0;
+  const int rc = gate_against_baseline(report, args.baseline,
                                        "BENCH_serve.json",
                                        validate_serve_bench_report,
-                                       flags.max_regress, "loadtest", diag);
+                                       args.max_regress, "loadtest", diag);
   if (rc == 0) std::printf("loadtest: no regression vs baseline\n");
   return rc;
 }
 
-struct ServeFlags {
-  std::string socket_path;    ///< --socket (Unix-domain)
-  int port = -1;              ///< --port (loopback TCP; 0 = ephemeral)
-  std::size_t cache_mb = 64;  ///< --cache-mb (0 disables the result cache)
-  std::string disk_cache_dir;       ///< --disk-cache-dir (empty = no tier)
-  std::size_t disk_cache_mb = 256;  ///< --disk-cache-mb
-  std::uint64_t disk_cache_ttl_s = 0;  ///< --disk-cache-ttl-s (0 = no aging)
-  std::size_t max_inflight = 0;     ///< --max-inflight (0 = unbounded)
-  int retry_after_ms = 200;         ///< --retry-after-ms (busy frame hint)
-  int retry_base_ms = 50;     ///< client: --retry-base-ms (backoff base)
-  std::string tenant;         ///< client: --tenant (fair-share bucket)
-  bool stats = false;         ///< client: print the daemon's {"stats"} frame
-  bool shutdown = false;      ///< client: stop the daemon when done
-  bool hello = false;         ///< client: print the greeting hello frame
-  bool health = false;        ///< client: print the {"health"} frame
-  bool drain = false;         ///< client: ask the daemon to drain
-};
-
-bool serve_endpoint(const ServeFlags& serve, SocketEndpoint* endpoint,
+bool serve_endpoint(const Args& args, SocketEndpoint* endpoint,
                     DiagnosticsSink& diag) {
-  if (serve.socket_path.empty() && serve.port < 0) {
+  if (args.socket.empty() && !args.has("--port")) {
     diag.error("serve", "need --socket <path> or --port <n>");
     return false;
   }
-  endpoint->unix_path = serve.socket_path;
-  endpoint->tcp_port =
-      serve.port > 0 ? static_cast<std::uint16_t>(serve.port) : 0;
+  endpoint->unix_path = args.socket;
+  endpoint->tcp_port = static_cast<std::uint16_t>(args.port);  // kPort range
   return true;
 }
 
-int cmd_serve(const ServeFlags& serve, const BulkFlags& bulk,
-              const FlowFlags& flags, StreamDiagnostics& diag) {
+int cmd_serve(const Args& args, StreamDiagnostics& diag) {
   ServerOptions options;
-  if (!serve_endpoint(serve, &options.endpoint, diag)) return 2;
+  if (!serve_endpoint(args, &options.endpoint, diag)) return 2;
   FaultInjector faults;
-  if (!make_fault_injector(flags, faults, diag)) return 2;
-  options.jobs = bulk.jobs;
-  options.cache_bytes = serve.cache_mb << 20;
-  options.disk_cache_dir = serve.disk_cache_dir;
-  options.disk_cache_bytes = serve.disk_cache_mb << 20;
-  options.disk_cache_ttl_seconds = serve.disk_cache_ttl_s;
-  options.max_inflight = serve.max_inflight;
-  options.retry_after_ms = serve.retry_after_ms;
-  // Same equivalence effort the flow/bulk commands use, so a request with
-  // verify=true spot-checks exactly like `mcrt bulk --verify`.
-  options.manager.equivalence.runs = 2;
-  options.manager.equivalence.cycles = 48;
-  options.default_timeout_seconds = flags.timeout_seconds;
-  options.budgets = flags.budgets;
-  if (!flags.fault_spec.empty()) options.faults = &faults;
+  if (!make_fault_injector(args, faults, diag)) return 2;
+  options.jobs = args.jobs;
+  options.cache_bytes = args.cache_mb << 20;  // kMegabytes range: no overflow
+  options.disk_cache_dir = args.disk_cache_dir;
+  options.disk_cache_bytes = args.disk_cache_mb << 20;
+  options.disk_cache_ttl_seconds = args.disk_cache_ttl_s;
+  options.max_inflight = args.max_inflight;
+  options.retry_after_ms = static_cast<int>(args.retry_after_ms);
+  // Requests own validate/verify; the manager options carry the effort.
+  options.manager = manager_options(args);
+  options.default_timeout_seconds = args.timeout;
+  options.budgets = budgets(args);
+  if (!args.faults.empty()) options.faults = &faults;
   options.log = &diag;
 
   RetimingServer server(options);
@@ -852,14 +781,24 @@ int cmd_serve(const ServeFlags& serve, const BulkFlags& bulk,
   return 0;
 }
 
-int cmd_client(const std::string& script,
-               const std::vector<std::string>& inputs, const ServeFlags& serve,
-               const BulkFlags& bulk, const FlowFlags& flags,
-               StreamDiagnostics& diag) {
+int cmd_client(const Args& args, StreamDiagnostics& diag) {
   namespace fs = std::filesystem;
+  // Positionals are the flow script then circuits; a control-only call
+  // (--hello / --stats / --health / --drain / --shutdown) takes none.
+  const std::vector<std::string>& files = args.positionals;
+  if (files.size() == 1 ||
+      (files.empty() && !args.hello && !args.stats && !args.health &&
+       !args.drain && !args.shutdown)) {
+    diag.error("client", "need \"<script>\" and circuits, or a control flag "
+                         "(--hello, --stats, --health, --drain, --shutdown)");
+    return 2;
+  }
+  const std::string script = files.empty() ? std::string() : files[0];
+  const std::vector<std::string> inputs(
+      files.empty() ? files.end() : files.begin() + 1, files.end());
   SocketEndpoint endpoint;
-  if (!serve_endpoint(serve, &endpoint, diag)) return 2;
-  if (!bulk.report_path.empty() && !bulk.canonical) {
+  if (!serve_endpoint(args, &endpoint, diag)) return 2;
+  if (!args.report.empty() && !args.canonical) {
     diag.error("client", "--report needs --canonical (the client composes "
                          "the report from the daemon's canonical records)");
     return 2;
@@ -871,7 +810,7 @@ int cmd_client(const std::string& script,
     diag.error("client", error);
     return 1;
   }
-  if (serve.hello) std::printf("%s\n", client.greeting().write().c_str());
+  if (args.hello) std::printf("%s\n", client.greeting().write().c_str());
 
   int exit_code = 0;
   std::vector<std::string> job_jsons;
@@ -879,7 +818,7 @@ int cmd_client(const std::string& script,
   if (!inputs.empty()) {
     bool ok = false;
     std::vector<BulkJob> jobs =
-        collect_bulk_jobs(inputs, bulk.out_dir, diag, &ok);
+        collect_bulk_jobs(inputs, args.out_dir, diag, &ok);
     if (!ok) return 2;
     if (jobs.empty()) {
       diag.error("client", "no input circuits");
@@ -891,18 +830,18 @@ int cmd_client(const std::string& script,
       JobRequest request;
       request.id = str_format("j%zu", i);
       request.name = jobs[i].name;
-      request.tenant = serve.tenant;
+      request.tenant = args.tenant;
       // The daemon may run in a different working directory.
       request.path = fs::absolute(jobs[i].input_path).string();
       if (!jobs[i].output_path.empty()) {
         request.output = fs::absolute(jobs[i].output_path).string();
       }
       request.script = script;
-      request.options.canonical = bulk.canonical;
-      request.options.timeout_seconds = flags.timeout_seconds;
-      request.options.validate = flags.validate;
-      request.options.verify = flags.verify;
-      request.options.budgets = flags.budgets;
+      request.options.canonical = args.canonical;
+      request.options.timeout_seconds = args.timeout;
+      request.options.validate = !args.no_validate;
+      request.options.verify = args.verify;
+      request.options.budgets = budgets(args);
       if (!client.submit(request)) {
         diag.error("client", "connection lost while submitting");
         return 1;
@@ -918,8 +857,8 @@ int cmd_client(const std::string& script,
     // `mcrt bulk` retries — with exponential backoff honoring the daemon's
     // retry-after hint.
     RetryPolicy policy;
-    policy.max_attempts = 1 + static_cast<int>(bulk.retries);
-    policy.base_delay_ms = serve.retry_base_ms;
+    policy.max_attempts = 1 + static_cast<int>(args.retries);
+    policy.base_delay_ms = static_cast<int>(args.retry_base_ms);
     for (int attempt = 1; attempt < policy.max_attempts; ++attempt) {
       int hint_ms = 0;
       std::vector<std::size_t> redo;
@@ -977,17 +916,17 @@ int cmd_client(const std::string& script,
     }
     std::printf("client: %zu/%zu ok\n", succeeded, results.size());
 
-    if (!bulk.report_path.empty()) {
-      std::ofstream out(bulk.report_path, std::ios::binary);
+    if (!args.report.empty()) {
+      std::ofstream out(args.report, std::ios::binary);
       out << compose_canonical_report_json(script, job_jsons, succeeded);
       if (!out) {
-        diag.error(bulk.report_path, "cannot write report");
+        diag.error(args.report, "cannot write report");
         return 1;
       }
     }
   }
 
-  if (serve.stats) {
+  if (args.stats) {
     std::optional<Json> stats = client.query_stats(&error);
     if (!stats) {
       diag.error("client", error);
@@ -995,7 +934,7 @@ int cmd_client(const std::string& script,
     }
     std::printf("%s\n", stats->write().c_str());
   }
-  if (serve.health) {
+  if (args.health) {
     std::optional<Json> health = client.query_health(&error);
     if (!health) {
       diag.error("client", error);
@@ -1003,7 +942,7 @@ int cmd_client(const std::string& script,
     }
     std::printf("%s\n", health->write().c_str());
   }
-  if (serve.drain) {
+  if (args.drain) {
     std::optional<Json> ack = client.send_drain(&error);
     if (!ack) {
       diag.error("client", error);
@@ -1011,7 +950,7 @@ int cmd_client(const std::string& script,
     }
     std::printf("%s\n", ack->write().c_str());
   }
-  if (serve.shutdown) {
+  if (args.shutdown) {
     if (!client.send_shutdown()) {
       diag.error("client", "connection lost before shutdown");
       return 1;
@@ -1024,41 +963,30 @@ int cmd_client(const std::string& script,
 // fuzz: differential fuzzing across the engine pairs (src/fuzz/,
 // docs/FUZZING.md).
 
-struct FuzzFlags {
-  std::size_t cases = 0;      ///< --cases (0 = run until the budget expires)
-  double budget_seconds = 0;  ///< --budget-s (both zero => 60s default)
-  std::string oracle;         ///< --oracle (empty = round-robin over all four)
-  std::string repro_path;     ///< --repro: replay (or materialize) one case
-  bool update = false;        ///< --update: re-minimize + rewrite a failing repro
-  bool seed_given = false;    ///< explicit --seed (drives --repro write mode)
-  std::string plant_bug;      ///< --plant-bug: sabotage spec (self-tests only)
-};
-
 /// Replays one reproducer. With an explicit --seed the case is first
 /// regenerated from that 64-bit case seed and written to the path, so the
 /// seed printed by a CI failure line materializes as a committable file.
-int cmd_fuzz_repro(const FuzzFlags& fuzz, std::uint64_t seed,
-                   const std::optional<OracleKind>& only,
+int cmd_fuzz_repro(const Args& args, const std::optional<OracleKind>& only,
                    const OracleOptions& oracle_options,
                    StreamDiagnostics& diag) {
   FuzzCase c;
-  if (fuzz.seed_given) {
-    c = generate_fuzz_case_from_seed(seed,
+  if (args.has("--seed")) {
+    c = generate_fuzz_case_from_seed(args.seed,
                                      only.value_or(OracleKind::kSerialVsBulk));
-    if (!fuzz.plant_bug.empty()) c.break_spec = fuzz.plant_bug;
-    if (!write_repro_file(c, fuzz.repro_path)) {
-      diag.error(fuzz.repro_path, "cannot write reproducer");
+    if (!args.plant_bug.empty()) c.break_spec = args.plant_bug;
+    if (!write_repro_file(c, args.repro)) {
+      diag.error(args.repro, "cannot write reproducer");
       return 1;
     }
   } else {
-    auto parsed = read_repro_file(fuzz.repro_path);
+    auto parsed = read_repro_file(args.repro);
     if (const auto* err = std::get_if<std::string>(&parsed)) {
-      diag.error(fuzz.repro_path, *err);
+      diag.error(args.repro, *err);
       return 2;
     }
     c = std::move(std::get<FuzzCase>(parsed));
     if (only.has_value()) c.oracle = *only;
-    if (!fuzz.plant_bug.empty()) c.break_spec = fuzz.plant_bug;
+    if (!args.plant_bug.empty()) c.break_spec = args.plant_bug;
   }
 
   OracleVerdict verdict;
@@ -1078,13 +1006,13 @@ int cmd_fuzz_repro(const FuzzFlags& fuzz, std::uint64_t seed,
               static_cast<unsigned long long>(c.seed),
               verdict.pass ? "PASS" : verdict.first_failure().c_str());
 
-  if (!verdict.pass && fuzz.update) {
+  if (!verdict.pass && args.update) {
     ShrinkOptions shrink;
     shrink.oracle = oracle_options;
     const ShrinkResult r = shrink_case(c, shrink);
     if (r.still_failing) {
-      if (!write_repro_file(r.minimized, fuzz.repro_path)) {
-        diag.error(fuzz.repro_path, "cannot rewrite reproducer");
+      if (!write_repro_file(r.minimized, args.repro)) {
+        diag.error(args.repro, "cannot rewrite reproducer");
         return 1;
       }
       std::printf("re-minimized: %zu -> %zu LUTs (%zu oracle runs)\n",
@@ -1094,57 +1022,53 @@ int cmd_fuzz_repro(const FuzzFlags& fuzz, std::uint64_t seed,
   return verdict.pass ? 0 : 1;
 }
 
-int cmd_fuzz(const FuzzFlags& fuzz, const BulkFlags& bulk,
-             const FlowFlags& flags, std::uint64_t seed,
-             StreamDiagnostics& diag) {
+int cmd_fuzz(const Args& args, StreamDiagnostics& diag) {
   OracleOptions oracle_options;
-  if (flags.timeout_seconds > 0) {
-    oracle_options.timeout_seconds = flags.timeout_seconds;
-  }
+  if (args.timeout > 0) oracle_options.timeout_seconds = args.timeout;
   oracle_options.cancel = &g_interrupt;
 
   std::optional<OracleKind> only;
-  if (!fuzz.oracle.empty()) {
-    only = oracle_from_name(fuzz.oracle);
+  if (!args.oracle.empty()) {
+    only = oracle_from_name(args.oracle);
     if (!only.has_value()) {
       diag.error("fuzz", str_format(
           "unknown oracle '%s' (serial-vs-bulk, bulk-vs-serve, "
           "mono-vs-windowed, compact-vs-legacy, cslow-vs-replicated)",
-          fuzz.oracle.c_str()));
+          args.oracle.c_str()));
       return 2;
     }
   }
 
-  if (!fuzz.repro_path.empty()) {
-    return cmd_fuzz_repro(fuzz, seed, only, oracle_options, diag);
+  if (!args.repro.empty()) {
+    return cmd_fuzz_repro(args, only, oracle_options, diag);
   }
 
   FuzzDriverOptions options;
-  options.seed = seed;
-  options.cases = fuzz.cases;
-  options.budget_seconds = fuzz.budget_seconds;
+  options.seed = args.seed;
+  options.cases = args.cases;
+  options.budget_seconds = args.budget_s;
   options.only_oracle = only;
-  options.out_dir = bulk.out_dir;
-  options.canonical = bulk.canonical;
+  options.out_dir = args.out_dir;
+  options.canonical = args.canonical;
   options.oracle = oracle_options;
   options.cancel = &g_interrupt;
-  options.break_spec = fuzz.plant_bug;
+  options.break_spec = args.plant_bug;
   options.progress = [](const std::string& line) {
     std::fprintf(stderr, "%s\n", line.c_str());
   };
 
   const FuzzRunReport report = run_fuzz(options);
-  if (!bulk.report_path.empty()) {
+  if (!args.report.empty()) {
     namespace fs = std::filesystem;
-    const fs::path parent = fs::path(bulk.report_path).parent_path();
+    const fs::path parent = fs::path(args.report).parent_path();
     if (!parent.empty()) {
       std::error_code ec;
       fs::create_directories(parent, ec);
     }
-    std::ofstream out(bulk.report_path, std::ios::binary);
-    out << report.to_json(bulk.canonical) << "\n";
+    std::ofstream out(args.report, std::ios::binary);
+    out << report.to_json(args.canonical) << "\n";
     if (!out) {
-      diag.error(bulk.report_path, "cannot write report");
+      diag.error(args.report, "cannot write report");
       return 1;
     }
   }
@@ -1155,6 +1079,377 @@ int cmd_fuzz(const FuzzFlags& fuzz, const BulkFlags& bulk,
   return report.failures == 0 ? 0 : 1;
 }
 
+// ---------------------------------------------------------------------------
+// The command line: one table of commands, one of flags. The parser, the
+// range checks, the one-pass alias scripts and the usage text all read
+// these two tables and nothing else.
+
+// One bit per command, for the set of commands that read a flag.
+enum : std::uint32_t {
+  kStats = 1u << 0, kClasses = 1u << 1, kTiming = 1u << 2, kDot = 1u << 3,
+  kSweep = 1u << 4, kStrash = 1u << 5, kRegsweep = 1u << 6,
+  kDecomposeEn = 1u << 7, kDecomposeSync = 1u << 8, kMap = 1u << 9,
+  kRetime = 1u << 10, kCheck = 1u << 11, kFlow = 1u << 12, kBulk = 1u << 13,
+  kCorpus = 1u << 14, kBench = 1u << 15, kLoadtest = 1u << 16,
+  kFuzz = 1u << 17, kServe = 1u << 18, kClient = 1u << 19,
+  // Every command that runs a script through run_flow.
+  kRunsFlow = kFlow | kSweep | kStrash | kRegsweep | kDecomposeEn |
+              kDecomposeSync | kMap | kRetime,
+  // Every command that runs flows, so reads a deadline and budgets.
+  kRunsJobs = kRunsFlow | kBulk | kServe | kClient,
+};
+
+/// A flag's destination; its type is the flag's type: a switch, a string,
+/// or a signed, unsigned or floating-point number.
+using Field = std::variant<bool Args::*, std::string Args::*,
+                           std::int64_t Args::*, std::uint64_t Args::*,
+                           double Args::*>;
+
+/// Accepted values of a numeric flag (unused by switches and strings). Every
+/// finite bound is an integer below 2^53, so comparing as double is exact.
+struct Range {
+  double min;
+  double max;
+};
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr Range kNone{0, 0};
+constexpr Range kNonNegative{0, kInf};
+constexpr Range kPositive{1, kInf};
+constexpr Range kPort{0, 65535};
+constexpr Range kMegabytes{0, static_cast<double>(SIZE_MAX >> 20)};  // << 20
+constexpr Range kSeconds{0, 1e9};  // a deadline in int64 nanoseconds
+constexpr Range kMillis{0, INT_MAX};
+constexpr Range kRetries{0, INT_MAX - 1};  // 1 + retries attempts in an int
+
+struct Flag {
+  const char* name;
+  const char* value;  ///< placeholder in the usage text; "" for a switch
+  Field field;
+  Range range;
+  std::uint32_t commands;  ///< the commands that read it
+  const char* pass_arg;    ///< the pass argument it becomes in an alias
+  const char* help;
+};
+
+const Flag kFlags[] = {
+    // Flow execution.
+    {"--profile", "", &Args::profile, kNone, kRunsFlow, nullptr,
+     "print per-pass wall time and LUT/FF deltas"},
+    {"--verify", "", &Args::verify, kNone, kRunsFlow | kBulk | kClient,
+     nullptr, "equivalence spot check after every pass"},
+    {"--no-validate", "", &Args::no_validate, kNone,
+     kRunsFlow | kBulk | kClient, nullptr,
+     "skip the per-pass netlist invariant check"},
+    {"--timeout", "S", &Args::timeout, kSeconds, kRunsJobs | kFuzz, nullptr,
+     "deadline per flow, job or request in seconds (0 = none)"},
+    {"--budget-bdd", "N", &Args::budget_bdd, kNonNegative, kRunsJobs, nullptr,
+     "BDD node cap for verification (0 = none)"},
+    {"--budget-bmc", "N", &Args::budget_bmc, kNonNegative, kRunsJobs, nullptr,
+     "BMC unroll depth cap (0 = none)"},
+    {"--budget-rss-mb", "M", &Args::budget_rss_mb, kMegabytes, kRunsJobs,
+     nullptr, "peak-RSS budget per flow in MiB (0 = none)"},
+    {"--faults", "SPEC", &Args::faults, kNone, kRunsFlow | kBulk | kServe,
+     nullptr, "inject faults, e.g. \"pass:retime=throw; write:*=fail@2\""},
+    // Pass arguments of the one-pass aliases.
+    {"-k", "N", &Args::lut_k, kNonNegative, kMap, "k",
+     "LUT input count, 2..6 (default 4)"},
+    {"-d", "D", &Args::lut_delay, kNonNegative, kMap | kRetime | kTiming, "d",
+     "delay given to a delay-less LUT (default 10)"},
+    {"--target", "P", &Args::target, kNonNegative, kRetime, "target",
+     "target clock period (default: the minimum feasible)"},
+    {"--minperiod", "", &Args::minperiod, kNone, kRetime, "minperiod",
+     "minimum period only, no min-area step"},
+    {"--no-sharing", "", &Args::no_sharing, kNone, kRetime, "no-sharing",
+     "drop the class-limited sharing model"},
+    {"--cslow", "C", &Args::cslow, kNonNegative, kRetime, "cslow",
+     "C-slow first; with --verify, the pass's cslow-verify"},
+    {"--windows", "N", &Args::windows, kNonNegative, kRetime, "windows",
+     "windowed: window count (0 = from --window-size)"},
+    {"--window-size", "N", &Args::window_size, kPositive, kRetime,
+     "window-size", "windowed: vertices per window (default 1024)"},
+    {"--window-jobs", "N", &Args::window_jobs, kNonNegative, kRetime,
+     "window-jobs", "windowed: worker threads (0 = all cores)"},
+    // check.
+    {"--formal", "", &Args::formal, kNone, kCheck, nullptr,
+     "add BDD reachability equivalence"},
+    {"--bmc", "N", &Args::bmc_depth, kNonNegative, kCheck, nullptr,
+     "add ternary BMC to depth N"},
+    {"--bmc-x-ok", "", &Args::bmc_x_ok, kNone, kCheck, nullptr,
+     "BMC: a defined output refining an X is benign"},
+    // Batches.
+    {"--jobs", "N", &Args::jobs, kNonNegative, kBulk | kServe, nullptr,
+     "worker threads (0 = all cores)"},
+    {"--out-dir", "D", &Args::out_dir, kNone,
+     kBulk | kClient | kFuzz | kBench | kLoadtest, nullptr,
+     "output directory (bench, loadtest: default .)"},
+    {"--report", "F", &Args::report, kNone, kBulk | kClient | kFuzz, nullptr,
+     "write the JSON report to F"},
+    {"--canonical", "", &Args::canonical, kNone, kBulk | kClient | kFuzz,
+     nullptr, "timing-free, machine-independent report bytes"},
+    {"--manifest", "F", &Args::manifest, kNone, kBulk, nullptr,
+     "journal finished jobs to F"},
+    {"--resume", "", &Args::resume, kNone, kBulk, nullptr,
+     "skip the jobs --manifest records as done"},
+    {"--retries", "N", &Args::retries, kRetries, kBulk | kClient, nullptr,
+     "re-run transient (I/O, busy) failures up to N times"},
+    // corpus, bench, loadtest.
+    {"--count", "N", &Args::count, kNonNegative, kCorpus, nullptr,
+     "random circuits (default 10)"},
+    {"--gates", "G", &Args::gates, kNonNegative, kCorpus, nullptr,
+     "add one scaled design of ~G LUTs"},
+    {"--seed", "S", &Args::seed, kNonNegative,
+     kCorpus | kBench | kLoadtest | kFuzz, nullptr,
+     "random seed (default 1); fuzz --repro: regenerate it"},
+    {"--quick", "", &Args::quick, kNone, kBench | kLoadtest, nullptr,
+     "trimmed suite, fewer repetitions"},
+    {"--baseline", "D", &Args::baseline, kNone, kBench | kLoadtest, nullptr,
+     "gate against the BENCH_*.json documents in D"},
+    {"--max-regress", "F", &Args::max_regress, kNonNegative,
+     kBench | kLoadtest, nullptr,
+     "allowed fractional wall-clock ratio loss (default 0.20)"},
+    // fuzz.
+    {"--budget-s", "S", &Args::budget_s, kSeconds, kFuzz, nullptr,
+     "wall-clock budget (60 when it and --cases are 0)"},
+    {"--cases", "N", &Args::cases, kNonNegative, kFuzz, nullptr,
+     "case count (0 = until the budget expires)"},
+    {"--oracle", "NAME", &Args::oracle, kNone, kFuzz, nullptr,
+     "run one engine pair only (docs/FUZZING.md)"},
+    {"--repro", "PATH", &Args::repro, kNone, kFuzz, nullptr,
+     "replay one reproducer (docs/FUZZING.md)"},
+    {"--update", "", &Args::update, kNone, kFuzz, nullptr,
+     "re-minimize and rewrite a failing --repro"},
+    {"--plant-bug", "SPEC", &Args::plant_bug, kNone, kFuzz, nullptr,
+     "sabotage spec for the fuzzer's self-tests"},
+    // serve and client (docs/SERVER.md).
+    {"--socket", "PATH", &Args::socket, kNone, kServe | kClient, nullptr,
+     "Unix-domain socket"},
+    {"--port", "N", &Args::port, kPort, kServe | kClient, nullptr,
+     "loopback TCP port (0 = ephemeral)"},
+    {"--cache-mb", "M", &Args::cache_mb, kMegabytes, kServe, nullptr,
+     "result cache size (default 64, 0 = off)"},
+    {"--disk-cache-dir", "D", &Args::disk_cache_dir, kNone, kServe, nullptr,
+     "crash-safe persistent cache tier in D"},
+    {"--disk-cache-mb", "M", &Args::disk_cache_mb, kMegabytes, kServe,
+     nullptr, "disk tier size (default 256)"},
+    {"--disk-cache-ttl-s", "S", &Args::disk_cache_ttl_s, kNonNegative, kServe,
+     nullptr, "age disk entries out after S seconds (0 = never)"},
+    {"--max-inflight", "N", &Args::max_inflight, kNonNegative, kServe,
+     nullptr, "admission bound on in-flight jobs (0 = none)"},
+    {"--retry-after-ms", "MS", &Args::retry_after_ms, kMillis, kServe,
+     nullptr, "retry hint in busy replies (default 200)"},
+    {"--retry-base-ms", "MS", &Args::retry_base_ms, kMillis, kClient,
+     nullptr, "retry backoff base (default 50)"},
+    {"--tenant", "T", &Args::tenant, kNone, kClient, nullptr,
+     "fair-share bucket"},
+    {"--hello", "", &Args::hello, kNone, kClient, nullptr,
+     "print the daemon's greeting"},
+    {"--stats", "", &Args::stats, kNone, kClient, nullptr,
+     "print the daemon's stats frame"},
+    {"--health", "", &Args::health, kNone, kClient, nullptr,
+     "print the daemon's health frame"},
+    {"--drain", "", &Args::drain, kNone, kClient, nullptr,
+     "ask the daemon to drain"},
+    {"--shutdown", "", &Args::shutdown, kNone, kClient, nullptr,
+     "stop the daemon when done"},
+};
+
+constexpr std::size_t kMany = SIZE_MAX;
+
+struct Command {
+  const char* name;
+  std::uint32_t bit;
+  std::size_t min_args;  ///< positional arguments
+  std::size_t max_args;
+  const char* args;  ///< positional arguments in the usage text
+  int (*handler)(const Args&, StreamDiagnostics&);
+  const char* pass;  ///< for an alias (no handler): the pass it runs
+  const char* help;
+};
+
+const Command kCommands[] = {
+    {"stats", kStats, 1, 1, "<in.blif>", cmd_stats, nullptr,
+     "circuit statistics"},
+    {"classes", kClasses, 1, 1, "<in.blif>", cmd_classes, nullptr,
+     "register class report"},
+    {"timing", kTiming, 1, 1, "<in.blif>", cmd_timing, nullptr,
+     "worst-path timing report"},
+    {"dot", kDot, 2, 2, "<in.blif> <out.dot>", cmd_dot, nullptr,
+     "netlist as Graphviz dot"},
+    {"sweep", kSweep, 2, 2, "<in.blif> <out.blif>", nullptr, "sweep",
+     "constant folding + dead logic"},
+    {"strash", kStrash, 2, 2, "<in.blif> <out.blif>", nullptr, "strash",
+     "merge duplicate nodes"},
+    {"regsweep", kRegsweep, 2, 2, "<in.blif> <out.blif>", nullptr, "regsweep",
+     "merge duplicate registers"},
+    {"decompose-en", kDecomposeEn, 2, 2, "<in.blif> <out.blif>", nullptr,
+     "decompose-en", "load enables -> feedback muxes (baseline)"},
+    {"decompose-sync", kDecomposeSync, 2, 2, "<in.blif> <out.blif>", nullptr,
+     "decompose-sync", "synchronous set/clear -> gates before D"},
+    {"map", kMap, 2, 2, "<in.blif> <out.blif>", nullptr, "map",
+     "decompose + FlowMap k-LUT map"},
+    {"retime", kRetime, 2, 2, "<in.blif> <out.blif>", nullptr, "retime",
+     "multiple-class retiming (--window*: \"retime-windowed\")"},
+    {"check", kCheck, 2, 2, "<a.blif> <b.blif>", cmd_check, nullptr,
+     "sequential equivalence (simulation, optionally BMC and BDDs)"},
+    {"flow", kFlow, 3, 3, "\"<script>\" <in.blif> <out.blif>", cmd_flow,
+     nullptr, "run a pass script, e.g. \"sweep; strash; retime(target=24)\""},
+    {"bulk", kBulk, 2, kMany, "\"<script>\" <in.blif|dir>...", cmd_bulk,
+     nullptr, "run one flow script over many circuits in parallel"},
+    {"corpus", kCorpus, 1, 1, "<out-dir>", cmd_corpus, nullptr,
+     "write a deterministic randomized BLIF corpus"},
+    {"bench", kBench, 0, 0, "", cmd_bench, nullptr,
+     "engines vs reference formulations, the paper's tables; BENCH_*.json"},
+    {"loadtest", kLoadtest, 0, 0, "", cmd_loadtest, nullptr,
+     "chaos load harness for the serve stack; BENCH_serve.json"},
+    {"fuzz", kFuzz, 0, 0, "", cmd_fuzz, nullptr,
+     "differential fuzzing across the engine pairs"},
+    {"serve", kServe, 0, 0, "", cmd_serve, nullptr,
+     "persistent retiming daemon with a result cache"},
+    {"client", kClient, 0, kMany, "[\"<script>\" <in.blif|dir>...]",
+     cmd_client, nullptr, "submit circuits to a daemon, or control it"},
+};
+
+std::string flag_synopsis(const Flag& flag) {
+  return *flag.value ? std::string(flag.name) + " " + flag.value : flag.name;
+}
+
+/// The usage text: per command its arguments, what it does and the flags
+/// it reads; then one line per flag.
+int usage() {
+  std::string text =
+      "usage: mcrt <command> [flags] <arguments>   (mcrt --version)\n";
+  for (const Command& command : kCommands) {
+    text += str_format("  %s%s%s\n      %s", command.name,
+                       *command.args ? " " : "", command.args, command.help);
+    if (command.pass != nullptr) {
+      text += str_format(" (flow \"%s\")", command.pass);
+    }
+    std::string line = "\n     ";
+    for (const Flag& flag : kFlags) {
+      if ((flag.commands & command.bit) == 0) continue;
+      const std::string item = " [" + flag_synopsis(flag) + "]";
+      if (line.size() + item.size() > 80) {
+        text += line;
+        line = "\n     ";
+      }
+      line += item;
+    }
+    if (line.size() > 6) text += line;
+    text += "\n";
+  }
+  text += "flags:\n";
+  for (const Flag& flag : kFlags) {
+    text += str_format("  %-22s %s\n", flag_synopsis(flag).c_str(), flag.help);
+  }
+  std::fputs(text.c_str(), stderr);
+  return 2;
+}
+
+std::string bound_text(double bound) {
+  return std::isinf(bound) ? "inf" : str_format("%.0f", bound);
+}
+
+/// Stores `text` into the flag's field: strings as given, numbers parsed
+/// whole and range-checked. Returns the problem, if any.
+std::optional<std::string> assign(const Flag& flag, const std::string& text,
+                                  Args* args) {
+  return std::visit(
+      [&](auto field) -> std::optional<std::string> {
+        auto& out = args->*field;
+        using T = std::remove_reference_t<decltype(out)>;
+        if constexpr (std::is_same_v<T, bool>) {
+          out = true;
+        } else if constexpr (std::is_same_v<T, std::string>) {
+          out = text;
+        } else {
+          T value{};
+          if (!parse_number(text, &value)) {
+            return "invalid numeric value '" + text + "'";
+          }
+          const double x = static_cast<double>(value);
+          if (x < flag.range.min || x > flag.range.max) {
+            return str_format("value %s out of range [%s, %s]", text.c_str(),
+                              bound_text(flag.range.min).c_str(),
+                              bound_text(flag.range.max).c_str());
+          }
+          out = value;
+        }
+        return std::nullopt;
+      },
+      flag.field);
+}
+
+/// Reads argv[2..] into `args`: `--flag v` or `--flag=v` for a value, bare
+/// `--flag` for a switch, anything else positional. Returns the first
+/// problem: an unknown flag, one `command` does not read, a bad value or a
+/// positional count outside the command's range.
+std::optional<std::string> parse_args(const Command& command, int argc,
+                                      char** argv, Args* args) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.empty() || arg[0] != '-') {
+      args->positionals.push_back(arg);
+      continue;
+    }
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const auto flag = std::find_if(
+        std::begin(kFlags), std::end(kFlags),
+        [&](const Flag& f) { return name == f.name; });
+    if (flag == std::end(kFlags)) return "unknown flag " + name;
+    if ((flag->commands & command.bit) == 0) {
+      return str_format("%s does not take %s", command.name, name.c_str());
+    }
+    const bool is_switch = std::holds_alternative<bool Args::*>(flag->field);
+    std::string value;
+    if (eq != std::string::npos) {
+      if (is_switch) return name + " takes no value";
+      value = arg.substr(eq + 1);
+    } else if (!is_switch) {
+      if (i + 1 == argc) return name + " needs a value";
+      value = argv[++i];
+    }
+    if (auto error = assign(*flag, value, args)) return name + ": " + *error;
+    args->given[flag->name] = value;
+  }
+  const std::size_t n = args->positionals.size();
+  if (n < command.min_args || n > command.max_args) {
+    if (command.max_args == 0) {
+      return str_format("%s takes no arguments, got %zu", command.name, n);
+    }
+    return str_format("%s expects %s, got %zu argument%s", command.name,
+                      command.args, n, n == 1 ? "" : "s");
+  }
+  return std::nullopt;
+}
+
+/// A one-pass alias runs the flow script "<pass>(<args>)": every given flag
+/// with a pass argument contributes `arg` (a switch) or `arg=value`, the
+/// value text as given and already checked by the parser.
+int run_alias(const Command& command, Args args, StreamDiagnostics& diag) {
+  std::string pass = command.pass;
+  std::string pass_args;
+  for (const Flag& flag : kFlags) {
+    const auto given = args.given.find(flag.name);
+    if (flag.pass_arg == nullptr || given == args.given.end()) continue;
+    if (starts_with(flag.name, "--window")) pass = "retime-windowed";
+    if (!pass_args.empty()) pass_args += ",";
+    pass_args += flag.pass_arg;
+    if (!given->second.empty()) pass_args += "=" + given->second;
+  }
+  // A C-slowed netlist interleaves C streams, so the flow-level
+  // input-vs-output spot check cannot apply; --verify maps to the pass's
+  // stream-equivalence + ternary-BMC self-check instead.
+  if (args.has("--cslow") && args.verify) {
+    pass_args += ",cslow-verify";
+    args.verify = false;
+  }
+  const std::string script =
+      pass_args.empty() ? pass : pass + "(" + pass_args + ")";
+  return run_flow(script, args.positionals[0], args.positionals[1], args,
+                  diag);
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1163,239 +1458,16 @@ int main(int argc, char** argv) {
     std::printf("%s\n", version_line().c_str());
     return 0;
   }
-  if (argc < 2) return usage();
-  const std::string command = argv[1];
-  // `bench` and `fuzz` are self-contained (generated workloads, no circuit
-  // files), so a bare `mcrt bench` / `mcrt fuzz` is a complete invocation.
-  if (argc < 3 && command != "bench" && command != "fuzz") return usage();
+  const auto command = std::find_if(
+      std::begin(kCommands), std::end(kCommands), [&](const Command& c) {
+        return argc >= 2 && std::strcmp(argv[1], c.name) == 0;
+      });
+  if (command == std::end(kCommands)) return usage();
   StreamDiagnostics diag(stderr);
-
-  // Collect flags and positionals.
-  std::vector<std::string> files;
-  std::uint32_t lut_k = 4;
-  std::int64_t lut_delay = 10;
-  bool minperiod = false;
-  std::int64_t target_period = 0;
-  bool no_sharing = false;
-  bool windowed = false;         ///< any --window* flag seen
-  std::size_t window_count = 0;  ///< --windows (0 = derive from size)
-  std::size_t window_size = 0;   ///< --window-size (0 = pass default)
-  std::size_t window_jobs = 0;   ///< --window-jobs (0 = hardware threads)
-  std::uint32_t cslow = 0;       ///< --cslow (0 = off)
-  std::size_t corpus_gates = 0;  ///< corpus --gates (0 = random suite only)
-  bool formal = false;
-  std::size_t bmc_depth = 0;
-  bool bmc_x_ok = false;
-  FlowFlags flow_flags;
-  BulkFlags bulk_flags;
-  ServeFlags serve_flags;
-  std::size_t corpus_count = 10;
-  std::uint64_t corpus_seed = 1;
-  BenchFlags bench_flags;
-  FuzzFlags fuzz_flags;
-  // Value-taking long flags accept both "--flag value" and "--flag=value".
-  const auto flag_value = [&](const std::string& arg, const char* name,
-                              int* i, std::string* value) {
-    const std::string prefix = std::string(name) + "=";
-    if (arg == name && *i + 1 < argc) {
-      *value = argv[++*i];
-      return true;
-    }
-    if (starts_with(arg, prefix)) {
-      *value = arg.substr(prefix.size());
-      return true;
-    }
-    return false;
-  };
-  // Numeric values must parse as a whole; the first malformed one is
-  // reported after the scan (exit 2) instead of silently reading as 0.
-  std::string bad_number;
-  const auto number_flag = [&](const std::string& arg, const char* name,
-                               int* i, auto* out) {
-    std::string value;
-    if (!flag_value(arg, name, i, &value)) return false;
-    if (!parse_number(value, out) && bad_number.empty()) {
-      bad_number = std::string(name) + ": invalid numeric value '" + value +
-                   "'";
-    }
-    return true;
-  };
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (number_flag(arg, "--jobs", &i, &bulk_flags.jobs)) continue;
-    if (flag_value(arg, "--out-dir", &i, &value)) {
-      bulk_flags.out_dir = value;
-      bench_flags.out_dir = value;
-      continue;
-    }
-    if (flag_value(arg, "--report", &i, &value)) {
-      bulk_flags.report_path = value;
-      continue;
-    }
-    if (number_flag(arg, "--count", &i, &corpus_count)) continue;
-    if (number_flag(arg, "--gates", &i, &corpus_gates)) continue;
-    if (number_flag(arg, "--windows", &i, &window_count) ||
-        number_flag(arg, "--window-size", &i, &window_size) ||
-        number_flag(arg, "--window-jobs", &i, &window_jobs)) {
-      windowed = true;
-      continue;
-    }
-    if (number_flag(arg, "--cslow", &i, &cslow)) continue;
-    if (number_flag(arg, "--seed", &i, &corpus_seed)) {
-      bench_flags.seed = corpus_seed;
-      fuzz_flags.seed_given = true;
-      continue;
-    }
-    if (number_flag(arg, "--budget-s", &i, &fuzz_flags.budget_seconds) ||
-        number_flag(arg, "--cases", &i, &fuzz_flags.cases)) {
-      continue;
-    }
-    if (flag_value(arg, "--oracle", &i, &value)) {
-      fuzz_flags.oracle = value;
-      continue;
-    }
-    if (flag_value(arg, "--repro", &i, &value)) {
-      fuzz_flags.repro_path = value;
-      continue;
-    }
-    if (arg == "--update") {
-      fuzz_flags.update = true;
-      continue;
-    }
-    if (flag_value(arg, "--plant-bug", &i, &value)) {
-      fuzz_flags.plant_bug = value;
-      continue;
-    }
-    if (arg == "--quick") {
-      bench_flags.quick = true;
-      continue;
-    }
-    if (flag_value(arg, "--baseline", &i, &value)) {
-      bench_flags.baseline_dir = value;
-      continue;
-    }
-    if (number_flag(arg, "--max-regress", &i, &bench_flags.max_regress)) {
-      continue;
-    }
-    if (arg == "--canonical") {
-      bulk_flags.canonical = true;
-      continue;
-    }
-    if (number_flag(arg, "--timeout", &i, &flow_flags.timeout_seconds)) {
-      continue;
-    }
-    if (flag_value(arg, "--manifest", &i, &value)) {
-      bulk_flags.manifest_path = value;
-      continue;
-    }
-    if (arg == "--resume") {
-      bulk_flags.resume = true;
-      continue;
-    }
-    if (number_flag(arg, "--retries", &i, &bulk_flags.retries)) continue;
-    if (flag_value(arg, "--faults", &i, &value)) {
-      flow_flags.fault_spec = value;
-      continue;
-    }
-    if (number_flag(arg, "--budget-bdd", &i,
-                    &flow_flags.budgets.bdd_node_cap) ||
-        number_flag(arg, "--budget-bmc", &i,
-                    &flow_flags.budgets.bmc_step_cap)) {
-      continue;
-    }
-    if (number_flag(arg, "--budget-rss-mb", &i,
-                    &flow_flags.budgets.max_rss_bytes)) {
-      constexpr std::size_t kMiB = 1024 * 1024;
-      if (flow_flags.budgets.max_rss_bytes > SIZE_MAX / kMiB &&
-          bad_number.empty()) {
-        bad_number = "--budget-rss-mb: value out of range";
-      }
-      flow_flags.budgets.max_rss_bytes *= kMiB;
-      continue;
-    }
-    if (arg == "--bmc-x-ok") {
-      bmc_x_ok = true;
-      continue;
-    }
-    if (flag_value(arg, "--socket", &i, &value)) {
-      serve_flags.socket_path = value;
-      continue;
-    }
-    if (number_flag(arg, "--port", &i, &serve_flags.port) ||
-        number_flag(arg, "--cache-mb", &i, &serve_flags.cache_mb)) {
-      continue;
-    }
-    if (flag_value(arg, "--disk-cache-dir", &i, &value)) {
-      serve_flags.disk_cache_dir = value;
-      continue;
-    }
-    if (number_flag(arg, "--disk-cache-mb", &i, &serve_flags.disk_cache_mb) ||
-        number_flag(arg, "--disk-cache-ttl-s", &i,
-                    &serve_flags.disk_cache_ttl_s) ||
-        number_flag(arg, "--max-inflight", &i, &serve_flags.max_inflight) ||
-        number_flag(arg, "--retry-after-ms", &i,
-                    &serve_flags.retry_after_ms) ||
-        number_flag(arg, "--retry-base-ms", &i, &serve_flags.retry_base_ms)) {
-      continue;
-    }
-    if (flag_value(arg, "--tenant", &i, &value)) {
-      serve_flags.tenant = value;
-      continue;
-    }
-    if (arg == "--stats") {
-      serve_flags.stats = true;
-      continue;
-    }
-    if (arg == "--shutdown") {
-      serve_flags.shutdown = true;
-      continue;
-    }
-    if (arg == "--hello") {
-      serve_flags.hello = true;
-      continue;
-    }
-    if (arg == "--health") {
-      serve_flags.health = true;
-      continue;
-    }
-    if (arg == "--drain") {
-      serve_flags.drain = true;
-      continue;
-    }
-    if (number_flag(arg, "-k", &i, &lut_k) ||
-        number_flag(arg, "-d", &i, &lut_delay) ||
-        number_flag(arg, "--target", &i, &target_period) ||
-        number_flag(arg, "--bmc", &i, &bmc_depth)) {
-      continue;
-    }
-    if (arg == "--minperiod") {
-      minperiod = true;
-    } else if (arg == "--no-sharing") {
-      no_sharing = true;
-    } else if (arg == "--formal") {
-      formal = true;
-    } else if (arg == "--profile") {
-      flow_flags.profile = true;
-    } else if (arg == "--verify") {
-      flow_flags.verify = true;
-    } else if (arg == "--no-validate") {
-      flow_flags.validate = false;
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return usage();
-    } else {
-      files.push_back(arg);
-    }
-  }
-  if (!bad_number.empty()) {
-    diag.error("mcrt", bad_number);
+  Args args;
+  if (const auto error = parse_args(*command, argc, argv, &args)) {
+    diag.error("mcrt", *error);
     return 2;
-  }
-  const bool server_command = command == "serve" || command == "client";
-  if (files.empty() && !server_command && command != "bench" &&
-      command != "fuzz" && command != "loadtest") {
-    return usage();
   }
 
   // ctrl-C requests a clean cooperative stop: in-flight flows unwind at
@@ -1404,160 +1476,6 @@ int main(int argc, char** argv) {
   // A dropped client mid-reply must surface as a write error on that
   // session, not kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
-
-  if (command == "serve") {
-    if (!files.empty()) return usage();
-    return cmd_serve(serve_flags, bulk_flags, flow_flags, diag);
-  }
-  if (command == "client") {
-    // Positionals are the flow script then circuits; a control-only call
-    // (--hello / --stats / --shutdown) takes none.
-    if (files.size() == 1 ||
-        (files.empty() && !serve_flags.hello && !serve_flags.stats &&
-         !serve_flags.shutdown && !serve_flags.health &&
-         !serve_flags.drain)) {
-      return usage();
-    }
-    const std::string script = files.empty() ? std::string() : files[0];
-    const std::vector<std::string> inputs(
-        files.empty() ? files.end() : files.begin() + 1, files.end());
-    return cmd_client(script, inputs, serve_flags, bulk_flags, flow_flags,
-                      diag);
-  }
-
-  // `flow` positionals are script, input, output; everything else starts
-  // with the input file.
-  if (command == "flow") {
-    if (files.size() < 3) return usage();
-    return run_flow(files[0], files[1], files[2], flow_flags, diag);
-  }
-  if (command == "bulk") {
-    if (files.size() < 2) return usage();
-    const std::vector<std::string> inputs(files.begin() + 1, files.end());
-    return cmd_bulk(files[0], inputs, bulk_flags, flow_flags, diag);
-  }
-  if (command == "corpus") {
-    return cmd_corpus(files[0], corpus_count, corpus_seed, corpus_gates, diag);
-  }
-  if (command == "bench") {
-    if (!files.empty()) return usage();
-    return cmd_bench(bench_flags, diag);
-  }
-  if (command == "loadtest") {
-    if (!files.empty()) return usage();
-    return cmd_loadtest(bench_flags, diag);
-  }
-  if (command == "fuzz") {
-    if (!files.empty()) return usage();
-    return cmd_fuzz(fuzz_flags, bulk_flags, flow_flags, corpus_seed, diag);
-  }
-
-  // Transforming subcommands are canned single-pass pipelines.
-  std::string script;
-  if (command == "sweep" || command == "strash" || command == "regsweep" ||
-      command == "decompose-en" || command == "decompose-sync") {
-    script = command;
-  } else if (command == "map") {
-    script = str_format("map(k=%u,d=%lld)", lut_k,
-                        static_cast<long long>(lut_delay));
-  } else if (command == "retime") {
-    script = str_format("%s(d=%lld", windowed ? "retime-windowed" : "retime",
-                        static_cast<long long>(lut_delay));
-    if (windowed) {
-      if (window_size > 0) script += str_format(",window-size=%zu", window_size);
-      if (window_count > 0) script += str_format(",windows=%zu", window_count);
-      if (window_jobs > 0) script += str_format(",window-jobs=%zu", window_jobs);
-    }
-    if (minperiod) script += ",minperiod";
-    if (no_sharing) script += ",no-sharing";
-    if (target_period != 0) {
-      script += str_format(",target=%lld",
-                           static_cast<long long>(target_period));
-    }
-    if (cslow > 0) {
-      script += str_format(",cslow=%u", cslow);
-      // A C-slowed netlist interleaves C streams, so the flow-level
-      // input-vs-output spot check cannot apply; --verify maps to the
-      // pass's stream-equivalence + ternary-BMC self-check instead.
-      if (flow_flags.verify) {
-        script += ",cslow-verify";
-        flow_flags.verify = false;
-      }
-    }
-    script += ")";
-  }
-  if (!script.empty()) {
-    if (files.size() < 2) return usage();
-    return run_flow(script, files[0], files[1], flow_flags, diag);
-  }
-
-  const auto input = load(files[0], diag);
-  if (!input) return 1;
-
-  if (command == "stats") return cmd_stats(*input);
-  if (command == "classes") return cmd_classes(*input);
-  if (command == "dot") {
-    if (files.size() < 2) return usage();
-    if (!write_dot_file(*input, files[1])) {
-      diag.error(files[1], "cannot write file");
-      return 1;
-    }
-    return 0;
-  }
-  if (command == "timing") {
-    Netlist timed = *input;
-    for (std::size_t i = 0; i < timed.node_count(); ++i) {
-      const NodeId id{static_cast<std::uint32_t>(i)};
-      if (timed.node(id).kind == NodeKind::kLut &&
-          !timed.node(id).fanins.empty() && timed.node(id).delay == 0) {
-        timed.set_node_delay(id, lut_delay);
-      }
-    }
-    const auto paths = worst_paths(timed, 5);
-    std::fputs(format_timing_report(timed, paths).c_str(), stdout);
-    return 0;
-  }
-
-  if (command == "check") {
-    if (files.size() < 2) return usage();
-    const auto other = load(files[1], diag);
-    if (!other) return 1;
-    const auto sim = check_sequential_equivalence(*input, *other, {});
-    std::printf("simulation: %s (%zu defined outputs)%s%s\n",
-                sim.equivalent ? "EQUIVALENT" : "DIFFERENT",
-                sim.compared_defined_outputs,
-                sim.equivalent ? "" : " - ",
-                sim.counterexample.c_str());
-    if (bmc_depth > 0) {
-      TernaryBmcOptions bo;
-      bo.depth = bmc_depth;
-      bo.x_refinement_ok = bmc_x_ok;
-      bo.cancel = &g_interrupt;
-      const auto bmc = check_ternary_bmc(*input, *other, bo);
-      const char* verdict =
-          bmc.verdict == TernaryBmcResult::Verdict::kEquivalentUpToDepth
-              ? "EQUIVALENT (bounded)"
-          : bmc.verdict == TernaryBmcResult::Verdict::kMismatch ? "DIFFERENT"
-          : bmc.verdict == TernaryBmcResult::Verdict::kResourceLimit
-              ? "RESOURCE-LIMIT"
-              : "UNSUPPORTED";
-      std::printf("bmc[%zu]:    %s (%s)\n", bmc_depth, verdict,
-                  bmc.detail.c_str());
-      if (bmc.verdict == TernaryBmcResult::Verdict::kMismatch) return 1;
-    }
-    if (formal) {
-      const auto fv = check_formal_equivalence(*input, *other, {});
-      const char* verdict =
-          fv.verdict == FormalResult::Verdict::kEquivalent  ? "EQUIVALENT"
-          : fv.verdict == FormalResult::Verdict::kMismatch ? "DIFFERENT"
-                                                           : "UNSUPPORTED";
-      std::printf("formal:     %s (%s)\n", verdict, fv.detail.c_str());
-      return fv.verdict == FormalResult::Verdict::kEquivalent && sim.equivalent
-                 ? 0
-                 : 1;
-    }
-    return sim.equivalent ? 0 : 1;
-  }
-
-  return usage();
+  return command->handler != nullptr ? command->handler(args, diag)
+                                     : run_alias(*command, args, diag);
 }
