@@ -81,6 +81,52 @@ double time_min(int reps, Fn&& body) {
   return best;
 }
 
+// Host-speed reference for the calibrated columns: a fixed integer
+// workload that runs no mcrt code (xorshift-driven read-modify-writes over
+// a 256 KiB table, so both the ALU and the L2 take part). A bench entry
+// divides its engine seconds by the minimum kernel time, sampled at least
+// kCalibrationSamples times interleaved with the entry's own repetitions,
+// so a burst of host load hits both. The quotient "*_calibrated" is an
+// absolute time in kernel units that a committed baseline can gate.
+constexpr int kCalibrationSamples = 20;
+
+class Calibration {
+ public:
+  /// Runs the kernel `runs` times, keeping the fastest.
+  void sample(int runs) {
+    for (int i = 0; i < runs; ++i) {
+      Timer timer;
+      sink_ ^= kernel();
+      best_ = std::min(best_, timer.seconds());
+    }
+  }
+  /// Kernel runs per repetition so that `reps` repetitions reach the floor.
+  static int runs_per_rep(int reps) {
+    return (kCalibrationSamples + reps - 1) / std::max(reps, 1);
+  }
+  double seconds() const { return best_; }
+  double calibrated(double seconds) const {
+    return seconds / std::max(best_, 1e-12);
+  }
+
+ private:
+  static std::uint64_t kernel() {
+    std::vector<std::uint64_t> table(1u << 15);
+    std::uint64_t x = 0x9e3779b97f4a7c15ull;
+    for (std::size_t i = 0; i < table.size(); ++i) table[i] = x += i;
+    for (int step = 0; step < (1 << 20); ++step) {
+      x ^= x << 13;
+      x ^= x >> 7;
+      x ^= x << 17;
+      table[x & (table.size() - 1)] += x;
+    }
+    return table[x & (table.size() - 1)];
+  }
+
+  double best_ = 1e300;
+  std::uint64_t sink_ = 0;  ///< keeps the kernel's result observable
+};
+
 Json phases_json(const PhaseProfile& profile) {
   Json object = Json::object();
   for (const std::string& phase : profile.phases()) {
@@ -128,7 +174,9 @@ Json bench_retime_circuit(const CircuitProfile& profile, int reps,
   std::vector<bool> feas_verdicts(probes.size());
   double constraints_seconds = 1e300;
   double csr_seconds = 1e300;
+  Calibration calibration;
   for (int rep = 0; rep < reps; ++rep) {
+    calibration.sample(Calibration::runs_per_rep(reps));
     if (rep < reference_reps) {
       Timer timer;
       for (std::size_t i = 0; i < probes.size(); ++i) {
@@ -163,6 +211,10 @@ Json bench_retime_circuit(const CircuitProfile& profile, int reps,
   entry.set("csr_seconds", csr_seconds);
   entry.set("speedup_vs_constraints",
             constraints_seconds / std::max(csr_seconds, 1e-12));
+  entry.set("calibration_seconds", calibration.seconds());
+  entry.set("constraints_calibrated",
+            calibration.calibrated(constraints_seconds));
+  entry.set("csr_calibrated", calibration.calibrated(csr_seconds));
   entry.set("identical", identical);
   entry.set("phases", phases_json(phases));
   return entry;
@@ -281,8 +333,8 @@ std::vector<WindowBenchCase> window_bench_suite(const BenchOptions& options) {
   return suite;
 }
 
-Json bench_window_case(const WindowBenchCase& bench_case,
-                       std::uint64_t seed) {
+Json bench_window_case(const WindowBenchCase& bench_case, std::uint64_t seed,
+                       int reps) {
   PhaseProfile phases;
   Netlist circuit;
   {
@@ -303,36 +355,50 @@ Json bench_window_case(const WindowBenchCase& bench_case,
     global = lower_to_retime_graph(prepared.graph, prepared.bounds);
   }
 
-  // Monolithic minperiod, optionally under a deadline.
-  CancelToken deadline;
-  if (bench_case.monolithic_cap_seconds > 0) {
-    deadline.set_timeout(bench_case.monolithic_cap_seconds);
-  }
-  bool capped = false;
-  RetimeSolution mono;
-  Timer mono_timer;
-  try {
-    mono = minperiod_retime(global, &deadline);
-  } catch (const CancelledError&) {
-    capped = true;
-  }
-  const double mono_seconds = mono_timer.seconds();
-  phases.add("monolithic", mono_seconds);
-
-  // Windowed label solve (partition + per-window solves + refinement); the
-  // internal "graph" phase repeats the shared preparation and is excluded
-  // via the flow's own phase profile.
+  // Monolithic minperiod (optionally under a deadline) and the windowed
+  // label solve (partition + per-window solves + refinement; its internal
+  // "graph" phase repeats the shared preparation and is excluded via the
+  // flow's own phase profile), repeated `reps` times with interleaved
+  // calibration samples; each side keeps its fastest repetition. A capped
+  // monolithic run is not repeated.
   WindowedRetimeOptions wopts;
   wopts.base = base;
   wopts.partition.max_window = bench_case.window_size;
   wopts.jobs = bench_case.jobs;
   wopts.solve_only = true;
-  const WindowedRetimeResult windowed = retime_windowed(circuit, wopts);
-  const double windowed_seconds =
-      windowed.stats.profile.seconds("partition") +
-      windowed.stats.profile.seconds("retime");
-  phases.add("windowed_partition", windowed.stats.profile.seconds("partition"));
-  phases.add("windowed_retime", windowed.stats.profile.seconds("retime"));
+  bool capped = false;
+  RetimeSolution mono;
+  WindowedRetimeResult windowed;
+  double mono_seconds = 1e300;
+  double windowed_seconds = 1e300;
+  double partition_seconds = 0;
+  Calibration calibration;
+  for (int rep = 0; rep < reps; ++rep) {
+    calibration.sample(Calibration::runs_per_rep(reps));
+    if (!capped) {
+      CancelToken deadline;
+      if (bench_case.monolithic_cap_seconds > 0) {
+        deadline.set_timeout(bench_case.monolithic_cap_seconds);
+      }
+      Timer mono_timer;
+      try {
+        mono = minperiod_retime(global, &deadline);
+      } catch (const CancelledError&) {
+        capped = true;
+      }
+      mono_seconds = std::min(mono_seconds, mono_timer.seconds());
+    }
+    windowed = retime_windowed(circuit, wopts);
+    const double seconds = windowed.stats.profile.seconds("partition") +
+                           windowed.stats.profile.seconds("retime");
+    if (seconds < windowed_seconds) {
+      windowed_seconds = seconds;
+      partition_seconds = windowed.stats.profile.seconds("partition");
+    }
+  }
+  phases.add("monolithic", mono_seconds);
+  phases.add("windowed_partition", partition_seconds);
+  phases.add("windowed_retime", windowed_seconds - partition_seconds);
 
   // Verification: the stitched labels must be legal on the full bounded
   // graph, and where the monolithic optimum is known the windowed period
@@ -372,6 +438,9 @@ Json bench_window_case(const WindowBenchCase& bench_case,
   }
   entry.set("speedup_vs_monolithic",
             mono_seconds / std::max(windowed_seconds, 1e-12));
+  entry.set("calibration_seconds", calibration.seconds());
+  entry.set("monolithic_calibrated", calibration.calibrated(mono_seconds));
+  entry.set("windowed_calibrated", calibration.calibrated(windowed_seconds));
   entry.set("identical", identical);
   entry.set("phases", phases_json(phases));
   return entry;
@@ -688,11 +757,12 @@ void check_column(const std::string& label, const std::string& key,
 }  // namespace
 
 Json run_retime_bench(const BenchOptions& options) {
-  // Min-of-N over millisecond sweeps needs many repetitions to be stable.
-  // The constraint side is far slower (C4 alone takes seconds per sweep),
-  // so it runs fewer.
+  // Min-of-N over millisecond sweeps needs many repetitions to be stable,
+  // on both sides now that each side's calibrated seconds are gated. The
+  // full suite's constraint side is far slower (C4 alone takes seconds per
+  // sweep), so there it runs fewer.
   const int reps = options.quick ? 20 : 5;
-  const int reference_reps = options.quick ? 10 : 1;
+  const int reference_reps = options.quick ? 20 : 1;
   Json::Array entries;
   for (const CircuitProfile& profile : bench_suite(options)) {
     entries.push_back(bench_retime_circuit(profile, reps, reference_reps));
@@ -717,11 +787,13 @@ Json run_sim_bench(const BenchOptions& options) {
 }
 
 Json run_window_bench(const BenchOptions& options) {
-  // Macro-scale runs (seconds to minutes): one rep per engine.
-  const int reps = 1;
+  // Macro-scale runs (seconds to minutes): min-of-5 per engine in the
+  // gated quick suite, one rep in the full run.
+  const int reps = options.quick ? 5 : 1;
   Json::Array entries;
   for (const WindowBenchCase& bench_case : window_bench_suite(options)) {
-    entries.push_back(bench_window_case(bench_case, options.seed + 300));
+    entries.push_back(
+        bench_window_case(bench_case, options.seed + 300, reps));
   }
   return assemble(kBenchWindowSchema, options, reps, std::move(entries));
 }
@@ -822,6 +894,23 @@ std::vector<std::string> bench_regressions(const Json& current,
                    /*higher_is_better=*/true, slack, regressions);
     }
   };
+  // Calibrated absolute seconds ("*_calibrated") are ceilings: either side
+  // of a timed pair getting slower fails, whatever happens to the ratio.
+  const auto check_calibrated = [&](const std::string& label,
+                                    const Json& cur_obj,
+                                    const Json& base_obj) {
+    for (const auto& [key, base_value] : base_obj.as_object()) {
+      if (!key.ends_with("_calibrated") || !base_value.is_number()) continue;
+      const Json* cur_value = cur_obj.find(key);
+      if (cur_value == nullptr || !cur_value->is_number()) {
+        regressions.push_back(label + ": column " + key +
+                              " missing from current report");
+        continue;
+      }
+      check_column(label, key, cur_value->as_number(), base_value.as_number(),
+                   /*higher_is_better=*/false, slack, regressions);
+    }
+  };
   // The paper report's quality columns: Table 2 delay and #FF, lower is
   // better (validation already rejects a report with a false eq).
   const auto check_paper = [&](const std::string& label, const Json& cur_obj,
@@ -842,6 +931,10 @@ std::vector<std::string> bench_regressions(const Json& current,
     }
   };
   const bool paper = schema == kBenchPaperSchema;
+  // The window document's speedup_vs_monolithic has the monolithic
+  // min-period solve as its reference side, so a faster reference lowers
+  // it; only its calibrated seconds are gated.
+  const bool gate_speedups = schema != kBenchWindowSchema;
   for (const Json& base_entry : baseline.at("entries").as_array()) {
     const std::string& circuit = base_entry.at("circuit").as_string();
     const Json* cur_entry = nullptr;
@@ -857,11 +950,14 @@ std::vector<std::string> bench_regressions(const Json& current,
     }
     if (paper) {
       check_paper(circuit, *cur_entry, base_entry);
-    } else {
-      check_speedups(circuit, *cur_entry, base_entry);
+      continue;
     }
+    if (gate_speedups) check_speedups(circuit, *cur_entry, base_entry);
+    check_calibrated(circuit, *cur_entry, base_entry);
   }
-  check_speedups("summary", current.at("summary"), baseline.at("summary"));
+  if (gate_speedups) {
+    check_speedups("summary", current.at("summary"), baseline.at("summary"));
+  }
   return regressions;
 }
 

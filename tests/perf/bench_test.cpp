@@ -227,6 +227,78 @@ TEST(BenchRegressionTest, CslowRatioGatedExactly) {
   EXPECT_TRUE(bench_regressions(cslow_report(1.75), baseline, 0.0).empty());
 }
 
+// A retime entry with calibrated seconds for both sides.
+Json calibrated_entry(double constraints, double csr) {
+  Json e = entry("C1", constraints / csr);
+  e.set("constraints_calibrated", constraints);
+  e.set("csr_calibrated", csr);
+  return e;
+}
+
+TEST(BenchRegressionTest, CalibratedSecondsAreCeilings) {
+  const Json baseline = report({calibrated_entry(400, 100)}, 4.0);
+  // Both sides 15% slower: the ratio holds and each ceiling has room.
+  EXPECT_TRUE(bench_regressions(report({calibrated_entry(460, 115)}, 4.0),
+                                baseline, 0.20)
+                  .empty());
+  // The FEAS side 25% slower while the reference slows as much: the
+  // speedup ratio is unchanged, the calibrated ceiling catches it.
+  auto regressions = bench_regressions(
+      report({calibrated_entry(500, 125)}, 4.0), baseline, 0.20);
+  ASSERT_EQ(regressions.size(), 2u);
+  EXPECT_NE(regressions[0].find("C1: constraints_calibrated regressed"),
+            std::string::npos)
+      << regressions[0];
+  EXPECT_NE(regressions[1].find("C1: csr_calibrated regressed"),
+            std::string::npos)
+      << regressions[1];
+  // A much faster run passes.
+  EXPECT_TRUE(bench_regressions(report({calibrated_entry(40, 10)}, 4.0),
+                                baseline, 0.20)
+                  .empty());
+  // A calibrated column the baseline records must be present.
+  regressions =
+      bench_regressions(report({entry("C1", 4.0)}, 4.0), baseline, 0.20);
+  ASSERT_EQ(regressions.size(), 2u);
+  EXPECT_NE(regressions[0].find("missing"), std::string::npos)
+      << regressions[0];
+}
+
+// A window document: speedup_vs_monolithic plus calibrated seconds.
+Json window_report(double monolithic, double windowed) {
+  Json e = Json::object();
+  e.set("circuit", "s4k");
+  e.set("monolithic_calibrated", monolithic);
+  e.set("windowed_calibrated", windowed);
+  e.set("speedup_vs_monolithic", monolithic / windowed);
+  e.set("identical", true);
+  Json summary = Json::object();
+  summary.set("circuits", 1);
+  summary.set("geomean_speedup", monolithic / windowed);
+  summary.set("all_identical", true);
+  Json doc = Json::object();
+  doc.set("schema", kBenchWindowSchema);
+  doc.set("options", Json::object());
+  doc.set("entries", Json(Json::Array{e}));
+  doc.set("summary", std::move(summary));
+  return doc;
+}
+
+TEST(BenchRegressionTest, WindowGatesCalibratedSecondsNotSpeedup) {
+  const Json baseline = window_report(4000, 1000);
+  // A faster monolithic reference: the ratio falls from 4x to 0.01x,
+  // which is not a regression.
+  EXPECT_TRUE(
+      bench_regressions(window_report(1, 1000), baseline, 0.20).empty());
+  // A slower windowed side is one, whatever the reference did.
+  const auto regressions =
+      bench_regressions(window_report(1, 1300), baseline, 0.20);
+  ASSERT_EQ(regressions.size(), 1u);
+  EXPECT_NE(regressions[0].find("s4k: windowed_calibrated regressed"),
+            std::string::npos)
+      << regressions[0];
+}
+
 TEST(BenchReportTest, PrettyWriterRoundTrips) {
   const Json doc = report({entry("C1", 2.5), entry("C2", 3.0)}, 2.7);
   const std::string text = write_bench_report(doc);
