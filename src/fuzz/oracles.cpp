@@ -19,6 +19,7 @@
 #include "pipeline/flow_script.h"
 #include "pipeline/job_executor.h"
 #include "pipeline/passes.h"
+#include "retime/feas.h"
 #include "retime/minperiod.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -453,9 +454,9 @@ OracleVerdict compact_vs_legacy(const FuzzCase& c,
   }
 
   // Leg 2: the FEAS-driven minimum period P must be tight against the
-  // difference-constraint system: feasible at P, infeasible at P - 1. It
-  // is checked with the class bounds and without them (the latter is the
-  // pure-FEAS search), and the labels must be legal and meet P.
+  // difference-constraint system: feasible at P, infeasible at P - 1, and
+  // FEAS's own verdict at both must match it. It is checked with the class
+  // bounds and without them, and the labels must be legal and meet P.
   try {
     // The retime pass's d=10 preprocessing, so the FEAS leg solves the
     // same graph the scripted flows do.
@@ -477,12 +478,19 @@ OracleVerdict compact_vs_legacy(const FuzzCase& c,
       };
       const bool at_p = constraint_feasible(sol.period);
       const bool below_p = constraint_feasible(sol.period - 1);
-      if (agreement.empty() && (!sol.feasible || !at_p || below_p)) {
+      const bool feas_at_p =
+          feas_check(*graph, sol.period, options.cancel).has_value();
+      const bool feas_below_p =
+          feas_check(*graph, sol.period - 1, options.cancel).has_value();
+      if (agreement.empty() && (!sol.feasible || !at_p || below_p ||
+                                feas_at_p != at_p ||
+                                feas_below_p != below_p)) {
         agreement = str_format(
             "%s: feasible=%d period=%lld, constraint system at P: %d, "
-            "at P-1: %d",
+            "at P-1: %d; FEAS at P: %d, at P-1: %d",
             which, sol.feasible ? 1 : 0, static_cast<long long>(sol.period),
-            at_p ? 1 : 0, below_p ? 1 : 0);
+            at_p ? 1 : 0, below_p ? 1 : 0, feas_at_p ? 1 : 0,
+            feas_below_p ? 1 : 0);
       }
       if (!sol.feasible) continue;
       const std::string illegal = graph->check_legal(sol.r);

@@ -1,6 +1,8 @@
 #include "retime/minperiod.h"
 
 #include <algorithm>
+#include <stdexcept>
+#include <string>
 
 #include "retime/feas.h"
 #include "retime/period_constraints.h"
@@ -44,75 +46,40 @@ std::optional<std::vector<std::int64_t>> bounded_feasible(
 RetimeSolution minperiod_retime(const RetimeGraph& graph,
                                 const CancelToken* cancel) {
   RetimeSolution result;
-  const std::int64_t current = graph.period();
-
-  // Candidate periods are exact path delays; binary search over them keeps
-  // every probe meaningful and the result exactly achievable.
-  const std::vector<std::int64_t> candidates = candidate_periods(graph, cancel);
-
-  // Phase 1: unbounded optimum via FEAS (cheap probes). It is a lower bound
-  // for the bounded problem.
-  std::size_t lo = 0;
-  std::size_t hi = candidates.size();  // exclusive; current period feasible
-  {
-    // Find index of `current` (feasible upper bound).
-    const auto it =
-        std::lower_bound(candidates.begin(), candidates.end(), current);
-    hi = static_cast<std::size_t>(it - candidates.begin());
-  }
-  std::vector<std::int64_t> best_r(graph.vertex_count(), 0);
-  std::int64_t best_phi = current;
-  std::size_t unbounded_lo = lo;
-  {
-    std::size_t a = lo;
-    std::size_t b = hi;  // candidates[hi] == current is known feasible
-    while (a < b) {
-      poll_cancel(cancel);
-      const std::size_t mid = a + (b - a) / 2;
-      if (feas_check(graph, candidates[mid])) {
-        b = mid;
-      } else {
-        a = mid + 1;
-      }
-    }
-    unbounded_lo = a;
-  }
-
-  if (!graph.has_bounds()) {
-    if (unbounded_lo < candidates.size() && candidates[unbounded_lo] < current) {
-      if (auto r = feas_check(graph, candidates[unbounded_lo])) {
-        best_r = normalize_to_host(std::move(*r), graph);
-        best_phi = candidates[unbounded_lo];
-      }
-    }
-    result.feasible = true;
-    result.period = best_phi;
-    result.r = std::move(best_r);
-    return result;
-  }
-
-  // Phase 2: bounded search in [unbounded optimum, current period].
-  std::size_t a = unbounded_lo;
-  std::size_t b = hi;  // current period is feasible with r = 0 under bounds
-                       // (bounds admit 0 by construction)
-  std::optional<std::vector<std::int64_t>> best;
-  while (a < b) {
-    poll_cancel(cancel);
-    const std::size_t mid = a + (b - a) / 2;
-    if (auto r = bounded_feasible(graph, candidates[mid], nullptr, cancel)) {
-      best = std::move(r);
-      best_phi = candidates[mid];
-      b = mid;
-    } else {
-      a = mid + 1;
-    }
-  }
-  if (best) {
-    best_r = std::move(*best);
-  }
   result.feasible = true;
-  result.period = best ? best_phi : current;
-  result.r = std::move(best_r);
+  // Feasibility is monotone in phi, and no period beats the slowest single
+  // vertex, so an integer binary search over [max d(v), current period]
+  // with bounded FEAS as the oracle ends exactly at the optimum. The
+  // current period is feasible with r = 0 (bounds admit 0 by construction).
+  const std::span<const std::int64_t> delay = graph.delays();
+  std::int64_t lo = *std::max_element(delay.begin(), delay.end());
+  std::int64_t hi = graph.period();
+  std::optional<std::vector<std::int64_t>> best;
+  while (lo < hi) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    if (auto r = feas_check(graph, mid, cancel)) {
+      best = std::move(r);
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  result.period = hi;
+  if (!best) {
+    result.r.assign(graph.vertex_count(), 0);  // already optimal
+  } else if (!graph.has_bounds()) {
+    result.r = std::move(*best);
+  } else {
+    // On bounded graphs the labels are the constraint solve's at the
+    // optimum (its shortest-path potential); FEAS only decides the period.
+    auto r = bounded_feasible(graph, hi, nullptr, cancel);
+    if (!r) {
+      throw std::logic_error("minperiod: FEAS accepts phi=" +
+                             std::to_string(hi) +
+                             " but the constraint solve rejects it");
+    }
+    result.r = std::move(*r);
+  }
   return result;
 }
 

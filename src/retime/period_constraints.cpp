@@ -1,6 +1,7 @@
 #include "retime/period_constraints.h"
 
 #include <algorithm>
+#include <iterator>
 #include <queue>
 #include <stdexcept>
 
@@ -159,18 +160,27 @@ void generate_period_constraints_unpruned(
 
 std::vector<std::int64_t> candidate_periods(const RetimeGraph& graph,
                                             const CancelToken* cancel) {
-  std::vector<std::int64_t> values;
+  std::vector<std::int64_t> values;  // sorted, distinct
+  std::vector<std::int64_t> source_values;
+  std::vector<std::int64_t> merged;
   const std::size_t n = graph.vertex_count();
   for (std::size_t u = 1; u < n; ++u) {
     poll_cancel(cancel);
     const WdLabels labels =
         compute_wd_from_source(graph, VertexId{static_cast<std::uint32_t>(u)});
+    source_values.clear();
     for (std::size_t v = 0; v < n; ++v) {
-      if (labels.reached[v]) values.push_back(labels.delay[v]);
+      if (labels.reached[v]) source_values.push_back(labels.delay[v]);
     }
+    std::sort(source_values.begin(), source_values.end());
+    source_values.erase(
+        std::unique(source_values.begin(), source_values.end()),
+        source_values.end());
+    merged.clear();
+    std::set_union(values.begin(), values.end(), source_values.begin(),
+                   source_values.end(), std::back_inserter(merged));
+    values.swap(merged);
   }
-  std::sort(values.begin(), values.end());
-  values.erase(std::unique(values.begin(), values.end()), values.end());
   return values;
 }
 

@@ -7,12 +7,18 @@
 //
 // where W(u,v) is the minimum path weight u ~> v and D(u,v) the maximum
 // delay among minimum-weight paths. This module runs one Dijkstra per
-// source over lexicographic (weight, -delay) labels and emits the
-// constraints, applying the Shenoy-Rudell pruning: the pair (u,v) is
-// emitted only if it is *minimally violating*, i.e. D(u,v) - d(u) <= phi
-// and D(u,v) - d(v) <= phi; dominated pairs are implied by the emitted
-// constraint of an interior pair plus circuit constraints, so dropping
-// them preserves the feasible set while shrinking the system drastically.
+// source (for W) plus a longest-path pass over its tight edges (for D) and
+// emits the constraints, applying the Shenoy-Rudell pruning: the pair
+// (u,v) is emitted only if it is *minimally violating*, i.e.
+// D(u,v) - d(u) <= phi and D(u,v) - d(v) <= phi; dominated pairs are
+// implied by the emitted constraint of an interior pair plus circuit
+// constraints, so dropping them preserves the feasible set while shrinking
+// the system drastically.
+//
+// The constraints serve target periods, min-area, the labels at the
+// min-period optimum and FEAS's independent oracle (bounded_feasible in
+// minperiod.h). Min-period's probes never generate them: bounded FEAS
+// (feas.h) decides each probe.
 #pragma once
 
 #include <cstdint>
@@ -53,8 +59,11 @@ void generate_period_constraints_unpruned(
     std::vector<DifferenceConstraint>& out);
 
 /// All distinct D(u,v) values (candidate clock periods), sorted ascending.
-/// Includes single-vertex "paths" (d(v) alone). O(V^2) memory-free
-/// streaming collection into a deduplicated vector. `cancel` is polled once
+/// Includes single-vertex "paths" (d(v) alone). One Dijkstra per source;
+/// each source's delays are deduplicated and merged into the running set,
+/// so memory is O(distinct periods + V). Min-period no longer needs the
+/// list (it binary-searches integers with FEAS); `mcrt bench`'s probe
+/// schedule and the FEAS differential test use it. `cancel` is polled once
 /// per path source.
 std::vector<std::int64_t> candidate_periods(const RetimeGraph& graph,
                                             const CancelToken* cancel =

@@ -5,13 +5,16 @@
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <optional>
+#include <stdexcept>
+#include <string>
 
 #include "mcretime/lower.h"
 #include "mcretime/rebuild.h"
 #include "retime/minarea.h"
+#include "retime/feas.h"
 #include "retime/minperiod.h"
-#include "retime/period_constraints.h"
 #include "window/extract.h"
 
 namespace mcrt {
@@ -19,20 +22,43 @@ namespace {
 
 /// Solves one window for minimum period. Robust to bounds that exclude
 /// r = 0 (delta-space justification retries tighten past the current
-/// label): when minperiod's fallback labeling is illegal under the
-/// bounds, walk the candidate periods upward — any achievable period is
-/// an exact path delay, so the scan is exhaustive. nullopt = the window
-/// alone cannot satisfy its bounds (caller escalates).
+/// label): when minperiod's r = 0 fallback is illegal under the bounds,
+/// gallop upward from its period with bounded FEAS to the first feasible
+/// phi, capped at the sum of all delays, where timing cannot bind; then
+/// take the constraint solve's labels there. Any achievable period is an
+/// exact path delay, so that phi is the first feasible candidate period.
+/// nullopt = the window alone cannot satisfy its bounds (caller escalates).
 std::optional<std::vector<std::int64_t>> solve_window(
     const RetimeGraph& local, const CancelToken* cancel) {
-  const RetimeSolution sol = minperiod_retime(local, FeasImpl::kCsr, cancel);
+  const RetimeSolution sol = minperiod_retime(local, cancel);
   if (!sol.feasible) return std::nullopt;
   if (local.check_legal(sol.r).empty()) return sol.r;
-  for (const std::int64_t phi : candidate_periods(local, cancel)) {
-    if (phi < sol.period) continue;
-    if (auto r = bounded_feasible(local, phi, nullptr, cancel)) return r;
+  const std::span<const std::int64_t> delay = local.delays();
+  const std::int64_t cap = std::accumulate(delay.begin(), delay.end(),
+                                           std::int64_t{0});
+  // Invariant: every phi below `lo` is infeasible and `hi` is probed next.
+  std::int64_t lo = sol.period;
+  std::int64_t hi = lo;
+  for (std::int64_t step = 1; !feas_check(local, hi, cancel); step *= 2) {
+    if (hi >= cap) return std::nullopt;
+    lo = hi + 1;
+    hi = std::min(cap, hi + step);
   }
-  return std::nullopt;
+  while (lo < hi) {
+    const std::int64_t mid = lo + (hi - lo) / 2;
+    if (feas_check(local, mid, cancel)) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  auto r = bounded_feasible(local, hi, nullptr, cancel);
+  if (!r) {
+    throw std::logic_error("solve_window: FEAS accepts phi=" +
+                           std::to_string(hi) +
+                           " but the constraint solve rejects it");
+  }
+  return r;
 }
 
 std::int64_t shift_lower(std::int64_t bound, std::int64_t r) {

@@ -1,7 +1,8 @@
 // CSR FEAS against an independent formulation of the same question: the
-// difference-constraint system of bounded_feasible() (circuit constraints
-// plus W/D period constraints, solved by SPFA). The two share nothing past
-// the RetimeGraph, so they must agree on every probe's verdict. Labels are
+// difference-constraint system of bounded_feasible() (circuit and bound
+// constraints plus W/D period constraints, solved by SPFA). The two share
+// nothing past the RetimeGraph, so they must agree on every probe's
+// verdict, on the bound-free graphs and on the bounded ones. Labels are
 // not comparable across the formulations (FEAS returns its own fixed point,
 // SPFA a shortest-path potential), so label-level coverage comes from
 // digests of the FEAS labels, recorded while a second, pointer-chasing FEAS
@@ -20,6 +21,7 @@
 #include "retime/feas.h"
 #include "retime/minperiod.h"
 #include "retime/period_constraints.h"
+#include "fuzz/case_gen.h"
 #include "workload/generator.h"
 
 namespace mcrt {
@@ -30,10 +32,9 @@ struct NamedGraph {
   RetimeGraph graph;  ///< with its class bounds, as lowering produced it
 };
 
-// Lowered retiming graph of a workload circuit, with unit LUT delays so
-// the timing problem is non-degenerate.
-RetimeGraph lowered_graph(const CircuitProfile& profile) {
-  Netlist circuit = generate_circuit(profile);
+// Lowered retiming graph of a circuit, with unit LUT delays so the timing
+// problem is non-degenerate.
+RetimeGraph lowered_graph(Netlist circuit) {
   for (std::uint32_t v = 0; v < circuit.node_count(); ++v) {
     if (circuit.node(NodeId{v}).kind == NodeKind::kLut) {
       circuit.set_node_delay(NodeId{v}, 10);
@@ -42,6 +43,10 @@ RetimeGraph lowered_graph(const CircuitProfile& profile) {
   const McGraph mc = build_mc_graph(circuit);
   const MaximalRetimingResult maximal = compute_mc_bounds(mc);
   return lower_to_retime_graph(mc, maximal.bounds);
+}
+
+RetimeGraph lowered_graph(const CircuitProfile& profile) {
+  return lowered_graph(generate_circuit(profile));
 }
 
 RetimeGraph hand_graph() {
@@ -195,6 +200,62 @@ TEST(FeasDifferentialTest, MinperiodTightAgainstConstraintSystem) {
           << named.name << " P-1=" << solution.period - 1;
     }
   }
+}
+
+// The bounded graphs: the hand graph with one vertex pinned and one
+// half-pinned, the workload graphs with their class bounds, and the
+// register-class zoo and the dual-clock rig lowered the same way.
+std::vector<NamedGraph> bounded_graphs() {
+  std::vector<NamedGraph> graphs = all_graphs();
+  RetimeGraph& hand = graphs.front().graph;
+  hand.set_bounds(VertexId{1}, 0, 0);
+  hand.set_bounds(VertexId{3}, -1, 0);
+  graphs.push_back({"zoo", lowered_graph(register_class_zoo(7))});
+  graphs.push_back({"dualclk", lowered_graph(dual_clock_rig(8))});
+  return graphs;
+}
+
+// Bounded FEAS decides the same question as the bounded constraint system:
+// the same verdict on every probe, legal bounded labels when feasible, and
+// the same verdict at the min period P (accepted) and P - 1 (rejected).
+TEST(FeasDifferentialTest, BoundedGraphsAgreeOnEveryCandidateAndAtP) {
+  for (const NamedGraph& named : bounded_graphs()) {
+    ASSERT_TRUE(named.graph.has_bounds()) << named.name;
+    std::vector<std::int64_t> probes = probe_periods(named);
+    const RetimeSolution solution = minperiod_retime(named.graph);
+    probes.push_back(solution.period);
+    probes.push_back(solution.period - 1);
+    for (const std::int64_t phi : probes) {
+      const auto feas = feas_check(named.graph, phi);
+      const auto constraints = bounded_feasible(named.graph, phi);
+      ASSERT_EQ(feas.has_value(), constraints.has_value())
+          << named.name << " phi=" << phi;
+      if (!feas) continue;
+      EXPECT_TRUE(named.graph.check_legal(*feas).empty())
+          << named.name << " phi=" << phi << ": "
+          << named.graph.check_legal(*feas);
+      EXPECT_LE(named.graph.period(*feas), phi) << named.name;
+    }
+    EXPECT_TRUE(feas_check(named.graph, solution.period).has_value())
+        << named.name << " P=" << solution.period;
+    EXPECT_FALSE(feas_check(named.graph, solution.period - 1).has_value())
+        << named.name << " P-1=" << solution.period - 1;
+  }
+}
+
+// Min-period at 16k gates: the probes below the optimum are infeasibility
+// proofs that bounded FEAS ends in their first rounds, so the whole search
+// takes milliseconds. A search over the candidate periods with a W/D
+// constraint solve per probe grows about 4x per size doubling and misses
+// this deadline.
+TEST(FeasDifferentialTest, MinperiodAt16kGatesWithinDeadline) {
+  const RetimeGraph graph = lowered_graph(scaled_profile(16000, 1));
+  ASSERT_TRUE(graph.has_bounds());
+  CancelToken deadline;
+  deadline.set_timeout(10.0);
+  const RetimeSolution solution = minperiod_retime(graph, &deadline);
+  EXPECT_EQ(solution.period, 170);
+  EXPECT_TRUE(graph.check_legal(solution.r).empty());
 }
 
 TEST(FeasDifferentialTest, InfeasiblePeriodRejectedByBoth) {

@@ -66,5 +66,68 @@ TEST(FeasTest, ReturnsLegalRetiming) {
   }
 }
 
+// Two pinned vertices (r_min = r_max = 0) joined by a zero-weight path of
+// delay D: the path's register count is fixed at zero, so every phi < D is
+// infeasible and phi = D is feasible, although the loop through the host
+// carries registers that the unbounded problem could pull in.
+TEST(FeasTest, PinnedEndpointsFixZeroWeightPathDelay) {
+  RetimeGraph g;
+  const VertexId a = g.add_vertex(4, "a");
+  const VertexId m1 = g.add_vertex(4, "m1");
+  const VertexId m2 = g.add_vertex(4, "m2");
+  const VertexId b = g.add_vertex(4, "b");
+  g.add_edge(g.host(), a, 2);
+  g.add_edge(a, m1, 0);
+  g.add_edge(m1, m2, 0);
+  g.add_edge(m2, b, 0);
+  g.add_edge(b, g.host(), 2);
+  constexpr std::int64_t kD = 16;
+  ASSERT_EQ(g.period(), kD);
+  EXPECT_TRUE(feas_check(g, 8).has_value());  // unbounded: registers move in
+  g.set_bounds(a, 0, 0);
+  g.set_bounds(b, 0, 0);
+  for (std::int64_t phi = 1; phi < kD; ++phi) {
+    EXPECT_FALSE(feas_check(g, phi).has_value()) << "phi=" << phi;
+  }
+  const auto r = feas_check(g, kD);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_TRUE(g.check_legal(*r).empty()) << g.check_legal(*r);
+}
+
+// The bounded optimum needs a negative label: the register on host -> a
+// must move forward onto a -> b, i.e. r(a) = -1, which a's bound allows.
+TEST(FeasTest, BoundedOptimumWithNegativeLabel) {
+  RetimeGraph g;
+  const VertexId a = g.add_vertex(5, "a");
+  const VertexId b = g.add_vertex(5, "b");
+  g.add_edge(g.host(), a, 2);
+  g.add_edge(a, b, 0);
+  g.add_edge(b, g.host(), 0);
+  g.set_bounds(a, -1, 0);
+  g.set_bounds(b, 0, 0);
+  ASSERT_EQ(g.period(), 10);
+  const auto r = feas_check(g, 5);
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ((*r)[g.host().index()], 0);
+  EXPECT_EQ((*r)[a.index()], -1);
+  EXPECT_EQ((*r)[b.index()], 0);
+  EXPECT_EQ(g.period(*r), 5);
+  EXPECT_FALSE(feas_check(g, 4).has_value());
+  // Forbidding the negative label leaves the current period optimal.
+  g.set_bounds(a, 0, 0);
+  EXPECT_FALSE(feas_check(g, 9).has_value());
+  EXPECT_TRUE(feas_check(g, 10).has_value());
+}
+
+// A stop request unwinds from inside a probe (polled once per round).
+TEST(FeasTest, CancelledTokenThrowsFromProbe) {
+  const RetimeGraph g = correlator();
+  CancelToken token;
+  token.request_cancel();
+  EXPECT_THROW(feas_check(g, 7, &token), CancelledError);
+  CancelToken live;
+  EXPECT_TRUE(feas_check(g, 7, &live).has_value());
+}
+
 }  // namespace
 }  // namespace mcrt

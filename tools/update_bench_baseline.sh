@@ -3,17 +3,18 @@
 #   BENCH_retime.json / BENCH_sim.json / BENCH_window.json /
 #   BENCH_cslow.json / BENCH_paper.json / BENCH_serve.json
 #                                        full-suite perf trajectory (repo root;
-#                                        the window report's headline entry runs
-#                                        a deadline-capped monolithic solve and
-#                                        takes a few minutes)
+#                                        the window report's 1e5-gate headline
+#                                        entry takes a few minutes)
 #   bench/baseline/BENCH_*.json          quick-suite baseline for CI's
 #                                        bench-smoke and serve-chaos gates
 #
 # Run from the repo root on a quiet machine. The CI gate compares speedup
-# *ratios* and deterministic solver outputs (C-slow period ratios, the
-# paper report's Table 2 delay and #FF), never wall-clock, so the baseline
-# does not need to come from CI hardware — but it must come from the
-# default (RelWithDebInfo) build, matching what bench-smoke configures.
+# *ratios*, seconds divided by an in-process calibration kernel
+# ("*_calibrated") and deterministic solver outputs (C-slow period ratios,
+# the paper report's Table 2 delay and #FF), never raw wall-clock. It must
+# come from the default (RelWithDebInfo) build, matching what bench-smoke
+# configures, and preferably from the host that runs the gate, since
+# calibration only roughly cancels a change of CPU.
 #
 #   sh tools/update_bench_baseline.sh [build-dir]
 set -eu
